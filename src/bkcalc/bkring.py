@@ -148,6 +148,14 @@ def enumerate_partition_tuples(
     return result
 
 
+def right_w0_translates(
+    group: WeylGroup, tuples
+) -> tuple[tuple[WeylElement, ...], ...]:
+    """Each tuple (w_1, ..., w_s) mapped to (w_1 w0, ..., w_s w0), in order."""
+    w0 = group.w0
+    return tuple(tuple(multiply(w, w0) for w in tup) for tup in tuples)
+
+
 def enumerate_levi_movable_tuples(
     group: WeylGroup, s: int = 3, size_cap: int = DEFAULT_TUPLE_SIZE_CAP
 ) -> tuple[tuple[WeylElement, ...], ...]:
@@ -155,8 +163,6 @@ def enumerate_levi_movable_tuples(
 
     These are exactly the right w0-translates of the partition tuples.
     """
-    w0 = group.w0
-    return tuple(
-        tuple(multiply(w, w0) for w in tup)
-        for tup in enumerate_partition_tuples(group, s, size_cap)
+    return right_w0_translates(
+        group, enumerate_partition_tuples(group, s, size_cap)
     )

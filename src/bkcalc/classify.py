@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .bkring import enumerate_partition_tuples
+from .bkring import enumerate_partition_tuples, right_w0_translates
 from .errors import InvalidWitness, NonDominantInput, OracleOverflow
 from .rootsys import RootSystem, Weight, add_weights, is_dominant, neg_weight
 from .tensoracle import DEFAULT_BUDGET, OracleBudget, stable_mult_probe
-from .weyl import WeylElement, WeylGroup, multiply
+from .weyl import WeylElement, WeylGroup
 
 DEFAULT_SCALING_DEPTH = 3
 
@@ -142,35 +142,16 @@ def cohomological_witnesses(
 
 
 def regularly_extremal_witnesses(
-    group: WeylGroup,
-    weights: tuple[Weight, ...],
-    verify_cup: bool = False,
+    group: WeylGroup, weights: tuple[Weight, ...]
 ) -> list[tuple[WeylElement, ...]]:
     """Witnesses for membership in a minimal regular face of the cone.
 
-    Candidates are the right w0-translates of the partition tuples, so the
-    complement condition holds by construction; the zero-sum condition is
-    checked directly.  The cup condition follows and is re-verified through
-    the polynomial oracle only when ``verify_cup`` is set.
+    These are the right w0-translates of the cohomological witnesses, as
+    sum (u_i w0)^-1 lambda_i = w0 (sum u_i^-1 lambda_i).  Translation
+    reverses length order, so the result is sorted again.
     """
-    _require_dominant_tuple(weights)
-    rs = group.rs
-    w0 = group.w0
-    out = []
-    for tup in enumerate_partition_tuples(group, len(weights)):
-        cand = tuple(multiply(u, w0) for u in tup)
-        total = (0,) * rs.rank
-        for u, lam in zip(cand, weights):
-            total = add_weights(total, group.inverse(u).act(lam))
-        if all(c == 0 for c in total):
-            if verify_cup and len(cand) == 3:
-                from .cupcalc import schubert_calculus
-
-                calc = schubert_calculus(group)
-                assert calc.cup_coefficient(*cand) == 1
-            out.append(cand)
-    out.sort(key=_witness_sort_key)
-    return out
+    coh = cohomological_witnesses(group, weights)
+    return sorted(right_w0_translates(group, coh), key=_witness_sort_key)
 
 
 def classify(
@@ -183,9 +164,11 @@ def classify(
     _require_dominant_tuple(weights)
     if K < 1:
         raise ValueError("scaling depth must be at least 1")
-    prv = prv_witnesses(group, weights)
+    # the partition enumeration enforces the tuple-size cap, so it runs
+    # before the |W|^(s-1) PRV search
     coh = cohomological_witnesses(group, weights)
-    reg = regularly_extremal_witnesses(group, weights)
+    reg = sorted(right_w0_translates(group, coh), key=_witness_sort_key)
+    prv = prv_witnesses(group, weights)
 
     mults: list[tuple[int, int]] = []
     overflow = False

@@ -58,7 +58,6 @@ class RunConfig:
     weight_bound: int = 2
     oracle_dim_cap: int = 10**5
     output_format: str = "text"
-    verify_cup: bool = False
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -69,16 +68,30 @@ class RunConfig:
 
     @classmethod
     def load_default(cls) -> "RunConfig":
+        """Read the file named by $BKCALC_CONFIG; the defaults if unset."""
         path = os.environ.get(CONFIG_ENV_VAR)
-        if path and os.path.exists(path):
-            with open(path) as fh:
-                return cls.from_dict(json.load(fh))
-        return cls()
+        if not path:
+            return cls()
+        with open(path) as fh:
+            return cls.from_dict(json.load(fh))
 
 
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _load_config() -> RunConfig:
+    try:
+        return RunConfig.load_default()
+    except (OSError, TypeError, ValueError) as exc:
+        # unreadable file, unknown key or non-object JSON, bad JSON
+        _fail(EXIT_PARSE, f"{CONFIG_ENV_VAR}: {exc}")
+
+
+def _given_or(value, default):
+    """An explicit option value, even 0 or "", wins over the config."""
+    return default if value is None else value
 
 
 def _parse_group(label: str):
@@ -137,16 +150,19 @@ _out_opt = click.option("--out", default=None, help="Write output to a file.")
 @_out_opt
 def cmd_classify(group_label, weights, depth, budget, fmt, out):
     """Classify a dominant weight tuple (PRV / cohomological / extremal)."""
-    cfg = RunConfig.load_default()
-    group = _parse_group(group_label or cfg.group)
+    cfg = _load_config()
+    group = _parse_group(_given_or(group_label, cfg.group))
     ws = _parse_weights(weights, group.rs.rank)
-    oracle_budget = OracleBudget(dim_cap=budget or cfg.oracle_dim_cap)
+    oracle_budget = OracleBudget(dim_cap=_given_or(budget, cfg.oracle_dim_cap))
     try:
         result = classify_tuple(
-            group, ws, K=depth or cfg.scaling_depth, budget=oracle_budget
+            group, ws, K=_given_or(depth, cfg.scaling_depth),
+            budget=oracle_budget,
         )
     except NonDominantInput as exc:
         _fail(EXIT_DOMAIN, str(exc))
+    except GroupTooLarge as exc:
+        _fail(EXIT_TOO_LARGE, str(exc))
     except (RankMismatch, ValueError) as exc:
         _fail(EXIT_PARSE, str(exc))
 
@@ -178,7 +194,7 @@ def cmd_classify(group_label, weights, depth, budget, fmt, out):
     if result.extended:
         payload["note"] = "s > 3: extended beyond the three-factor statements"
 
-    fmt = fmt or cfg.output_format
+    fmt = _given_or(fmt, cfg.output_format)
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
@@ -219,8 +235,8 @@ def cmd_classify(group_label, weights, depth, budget, fmt, out):
 @_out_opt
 def cmd_bk_table(group_label, fmt, out):
     """Full multiplication table of the degenerated product."""
-    cfg = RunConfig.load_default()
-    group = _parse_group(group_label or cfg.group)
+    cfg = _load_config()
+    group = _parse_group(_given_or(group_label, cfg.group))
     n = group.w0.length
     rows = []
     for u in group.elements:
@@ -238,7 +254,7 @@ def cmd_bk_table(group_label, fmt, out):
     table = buf.getvalue()
     digest = hashlib.sha256(table.encode()).hexdigest()
 
-    fmt = fmt or cfg.output_format
+    fmt = _given_or(fmt, cfg.output_format)
     nonzero = sum(1 for r in rows if r[3])
     if fmt == "json":
         text = json.dumps(
@@ -263,15 +279,15 @@ def cmd_bk_table(group_label, fmt, out):
 @_out_opt
 def cmd_enumerate(group_label, s, fmt, out):
     """Ordered tuples of inversion sets partitioning the positive roots."""
-    cfg = RunConfig.load_default()
-    group = _parse_group(group_label or cfg.group)
+    cfg = _load_config()
+    group = _parse_group(_given_or(group_label, cfg.group))
     try:
         tuples = enumerate_partition_tuples(group, s)
     except GroupTooLarge as exc:
         _fail(EXIT_TOO_LARGE, str(exc))
     except ValueError as exc:
         _fail(EXIT_PARSE, str(exc))
-    fmt = fmt or cfg.output_format
+    fmt = _given_or(fmt, cfg.output_format)
     note = "extended beyond the three-factor statements" if s > 3 else ""
     if fmt == "json":
         payload = {
@@ -298,19 +314,19 @@ def cmd_enumerate(group_label, s, fmt, out):
 @_out_opt
 def cmd_decompose(group_label, weights, budget, fmt, out):
     """Decompose a tensor product of two irreducibles (exact oracle)."""
-    cfg = RunConfig.load_default()
-    group = _parse_group(group_label or cfg.group)
+    cfg = _load_config()
+    group = _parse_group(_given_or(group_label, cfg.group))
     ws = _parse_weights(weights, group.rs.rank)
     if len(ws) != 2:
         _fail(EXIT_PARSE, "decompose takes exactly two weights")
-    oracle_budget = OracleBudget(dim_cap=budget or cfg.oracle_dim_cap)
+    oracle_budget = OracleBudget(dim_cap=_given_or(budget, cfg.oracle_dim_cap))
     try:
         dec = decompose(group.rs, ws[0], ws[1], oracle_budget)
     except NonDominantInput as exc:
         _fail(EXIT_DOMAIN, str(exc))
     except OracleOverflow as exc:
         _fail(EXIT_ORACLE, str(exc))
-    fmt = fmt or cfg.output_format
+    fmt = _given_or(fmt, cfg.output_format)
     rows = [
         (",".join(map(str, w)), m, weyl_dim(group.rs, w)) for w, m in dec.terms
     ]
@@ -342,8 +358,8 @@ def cmd_decompose(group_label, weights, budget, fmt, out):
 @_out_opt
 def cmd_face(group_label, witness, bound, fmt, out):
     """Sample the minimal regular face attached to a partition witness."""
-    cfg = RunConfig.load_default()
-    group = _parse_group(group_label or cfg.group)
+    cfg = _load_config()
+    group = _parse_group(_given_or(group_label, cfg.group))
     try:
         parts = witness.split(";")
         if len(parts) != 3:
@@ -354,7 +370,7 @@ def cmd_face(group_label, witness, bound, fmt, out):
         _fail(EXIT_DOMAIN, str(exc))
     except ValueError as exc:
         _fail(EXIT_PARSE, str(exc))
-    fmt = fmt or cfg.output_format
+    fmt = _given_or(fmt, cfg.output_format)
     if fmt == "json":
         text = json.dumps(
             {
@@ -386,14 +402,20 @@ def cmd_face(group_label, witness, bound, fmt, out):
 @_out_opt
 def cmd_verify(group_label, suites, weight_bound, scaling_depth, out):
     """Run the exhaustive verification sweeps; exit 0 iff all pass."""
-    cfg = RunConfig.load_default()
-    group = _parse_group(group_label or cfg.group)
+    cfg = _load_config()
+    group = _parse_group(_given_or(group_label, cfg.group))
     try:
-        results = run_suites(group, list(suites))
+        results = run_suites(
+            group, list(suites),
+            weight_bound=_given_or(weight_bound, cfg.weight_bound),
+            K=_given_or(scaling_depth, cfg.scaling_depth),
+        )
     except ValueError as exc:
         _fail(EXIT_PARSE, str(exc))
     except GroupTooLarge as exc:
         _fail(EXIT_TOO_LARGE, str(exc))
+    except OracleOverflow as exc:
+        _fail(EXIT_ORACLE, str(exc))
     lines = []
     failed = False
     for r in results:

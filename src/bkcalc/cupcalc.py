@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .errors import GroupTooLarge
-from .weyl import WeylElement, WeylGroup, _same_group
+from .weyl import WeylElement, WeylGroup, _same_group, multiply
 
 # polynomial in the simple-root variables: exponent tuple -> coefficient
 Poly = dict[tuple[int, ...], Fraction]
@@ -142,9 +142,7 @@ class SchubertCalculus:
                 rep = self.point_class()
             else:
                 i = w.word[-1]
-                shorter = self.group.from_action(
-                    _matmul_cached(w.action, self.group._refl[i])
-                )
+                shorter = multiply(w, self.group.simple[i])
                 rep = self.divided_difference(i, self.representative(shorter))
             self._reps[w] = rep
         return self._reps[w]
@@ -158,41 +156,38 @@ class SchubertCalculus:
 
     # -- cup products ------------------------------------------------------
 
+    def _pairing(self, uv: Poly, w: WeylElement) -> int:
+        """Intersection number of a product of two classes with sigma_w."""
+        val = self.eval_against_point(poly_mul(uv, self.representative(w)))
+        if val.denominator != 1 or val < 0:
+            raise ArithmeticError(
+                f"intersection number {val} is not a non-negative integer"
+            )
+        return int(val)
+
     def cup_coefficient(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
         """Triple intersection number of the three Schubert classes."""
         _same_group(u, v, w)
         n = self.group.w0.length
         if u.length + v.length + w.length != 2 * n:
             return 0
-        p = poly_mul(
-            poly_mul(self.representative(u), self.representative(v)),
-            self.representative(w),
+        return self._pairing(
+            poly_mul(self.representative(u), self.representative(v)), w
         )
-        val = self.eval_against_point(p)
-        assert val.denominator == 1 and val >= 0, (
-            "non-integral intersection number: internal error"
-        )
-        return int(val)
 
     def cup_product(self, u: WeylElement, v: WeylElement):
         """sigma_u . sigma_v expanded in the Schubert basis."""
         from .bkring import CohomClass
-        from .weyl import multiply
 
         group = _same_group(u, v)
         out = CohomClass.zero(group)
         target = 2 * group.w0.length - u.length - v.length
+        uv = poly_mul(self.representative(u), self.representative(v))
         for w in group.by_length(target):
-            c = self.cup_coefficient(u, v, w)
+            c = self._pairing(uv, w)
             if c:
                 out.add_term(multiply(group.w0, w), c)
         return out
-
-
-def _matmul_cached(a, b):
-    from .weyl import _matmul
-
-    return _matmul(a, b)
 
 
 _calc_cache: dict = {}

@@ -226,6 +226,11 @@ class RootSystem:
             else:
                 return x
 
+    def star(self, lam: Weight) -> Weight:
+        """The dominant element of the orbit of -lam, i.e. -w0(lam) for
+        dominant lam."""
+        return self.dominant_representative(neg_weight(lam))
+
     # -- invariant bilinear form ------------------------------------------
 
     @property

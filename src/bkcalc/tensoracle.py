@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonDominantInput, OracleOverflow
-from .rootsys import RootSystem, Weight, add_weights, is_dominant, neg_weight
+from .rootsys import RootSystem, Weight, add_weights, is_dominant
+from .weyl import borel_weil_bott
 
 
 @dataclass(frozen=True)
@@ -132,25 +133,6 @@ def weight_multiplicities(
     return mults
 
 
-def _dot_regularize(rs: RootSystem, chi_rho: Weight):
-    """Bring chi + rho to the dominant chamber, tracking the sign.
-
-    Returns (sign, dominant highest weight) or None when singular.
-    """
-    x = chi_rho
-    sign = 1
-    while True:
-        if any(c == 0 for c in x):
-            return None
-        for i, c in enumerate(x):
-            if c < 0:
-                x = rs.simple_reflect(i, x)
-                sign = -sign
-                break
-        else:
-            return sign, tuple(c - 1 for c in x)
-
-
 _decompose_cache: dict = {}
 
 
@@ -173,13 +155,12 @@ def decompose(
     # iterate over the weights of the smaller factor
     small, big = (lam, mu) if weyl_dim(rs, lam) <= weyl_dim(rs, mu) else (mu, lam)
     acc: dict[Weight, int] = {}
-    big_rho = add_weights(big, rs.rho)
     for nu, m in weight_multiplicities(rs, small, budget).items():
-        reg = _dot_regularize(rs, add_weights(big_rho, nu))
+        reg = borel_weil_bott(rs, add_weights(big, nu))
         if reg is None:
             continue
-        sign, top = reg
-        new = acc.get(top, 0) + sign * m
+        q, top = reg
+        new = acc.get(top, 0) + (-1) ** q * m
         if new:
             acc[top] = new
         else:
@@ -194,11 +175,6 @@ def decompose(
     return result
 
 
-def _star(rs: RootSystem, lam: Weight) -> Weight:
-    """-w0(lam): the dominant representative of the negated orbit."""
-    return rs.dominant_representative(neg_weight(lam))
-
-
 def invariant_dim(
     rs: RootSystem,
     weights: tuple[Weight, ...],
@@ -211,7 +187,7 @@ def invariant_dim(
         rs.check_rank(w)
         _require_dominant(w)
     if len(weights) == 2:
-        return 1 if weights[1] == _star(rs, weights[0]) else 0
+        return 1 if weights[1] == rs.star(weights[0]) else 0
     # fold the first s-1 factors, then pair against the last
     current: dict[Weight, int] = {weights[0]: 1}
     for nxt in weights[1:-1]:
@@ -220,7 +196,7 @@ def invariant_dim(
             for w, m in decompose(rs, term, nxt, budget).terms:
                 acc[w] = acc.get(w, 0) + mult * m
         current = acc
-    target = _star(rs, weights[-1])
+    target = rs.star(weights[-1])
     return current.get(target, 0)
 
 

@@ -183,16 +183,22 @@ def suite_equivalence(
     """
     rank = group.rs.rank
     checked = 0
+    inconclusive = 0
     for lam in _dominant_box(rank, weight_bound):
         for mu in _dominant_box(rank, weight_bound):
             for nu in _dominant_box(rank, weight_bound):
                 checked += 1
                 c = classify(group, (lam, mu, nu), K=K)
                 dims = [d for _, d in c.oracle_mults]
-                probe_ok = c.prv and len(dims) == K and all(d == 1 for d in dims)
-                if c.cohomological != probe_ok or (
-                    c.cohomological and dims != [1] * K
-                ):
+                unit = all(d == 1 for d in dims)
+                if c.oracle_overflow:
+                    # the budget ran out before depth K: only the computed
+                    # dims can be checked, and only in one direction
+                    inconclusive += 1
+                    ok = unit or not c.cohomological
+                else:
+                    ok = c.cohomological == (c.prv and unit)
+                if not ok:
                     return SuiteResult(
                         "equivalence", False, checked,
                         counterexample={
@@ -211,10 +217,11 @@ def suite_equivalence(
                             "cohomological": c.cohomological,
                         },
                     )
-    return SuiteResult(
-        "equivalence", True, checked,
-        f"desk-scale equivalence holds on the bound-{weight_bound} box at K={K}",
-    )
+    detail = (f"desk-scale equivalence holds on the bound-{weight_bound} box"
+              f" at K={K}")
+    if inconclusive:
+        detail += f"; {inconclusive} inconclusive (oracle budget)"
+    return SuiteResult("equivalence", True, checked, detail)
 
 
 def suite_prv_bound(group: WeylGroup, weight_bound: int = 2) -> SuiteResult:
@@ -294,17 +301,25 @@ SUITES = {
 _RANK2_ONLY = {"equivalence", "prv-bound"}
 
 
-def run_suites(group: WeylGroup, names: list[str]) -> list[SuiteResult]:
-    results = []
+def run_suites(
+    group: WeylGroup, names: list[str], weight_bound: int = 2, K: int = 3
+) -> list[SuiteResult]:
+    """Run the named suites; ``weight_bound`` and ``K`` go to the sweeps
+    over dominant weight boxes."""
+    if weight_bound < 0:
+        raise ValueError("weight bound must be non-negative")
+    if K < 1:
+        raise ValueError("scaling depth must be at least 1")
+    params = {"equivalence": {"weight_bound": weight_bound, "K": K},
+              "prv-bound": {"weight_bound": weight_bound}}
+    selected = []
     for name in names:
         if name == "all":
-            for n, fn in SUITES.items():
-                if n in _RANK2_ONLY and group.rs.rank > 2:
-                    continue
-                results.append(fn(group))
-            continue
-        if name not in SUITES:
+            selected += [n for n in SUITES
+                         if n not in _RANK2_ONLY or group.rs.rank <= 2]
+        elif name in SUITES:
+            selected.append(name)
+        else:
             raise ValueError(f"unknown suite {name!r}; choose from "
                              f"{sorted(SUITES)} or 'all'")
-        results.append(SUITES[name](group))
-    return results
+    return [SUITES[n](group, **params.get(n, {})) for n in selected]

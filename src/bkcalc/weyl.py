@@ -20,7 +20,6 @@ from .rootsys import (
     Weight,
     add_weights,
     build_root_system,
-    neg_weight,
 )
 
 DEFAULT_GROUP_CAP = 10**6
@@ -254,8 +253,8 @@ def dot(w: WeylElement, lam: Weight) -> Weight:
 
 
 def weight_star(group: WeylGroup, lam: Weight) -> Weight:
-    """lam* = -w0(lam); dominant whenever lam is dominant."""
-    return neg_weight(group.w0.act(lam))
+    """lam* = -w0(lam) for dominant lam; see :meth:`RootSystem.star`."""
+    return group.rs.star(lam)
 
 
 def borel_weil_bott(rs: RootSystem, chi: Weight):
@@ -291,10 +290,6 @@ def is_biconvex(rs: RootSystem, mask: int) -> bool:
             if (comp >> i & 1) and (comp >> j & 1) and not (comp >> k & 1):
                 return False
     return True
-
-
-def complement_mask(group: WeylGroup, mask: int) -> int:
-    return group.full_mask ^ mask
 
 
 def minus_w0_mask(group: WeylGroup, mask: int) -> int:

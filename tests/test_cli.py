@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -180,3 +181,76 @@ def test_run_config_env_default(runner, tmp_path, monkeypatch):
     r = run(runner, "enumerate", "--s", "3")  # group taken from the config
     assert r.exit_code == 0
     assert "# count=3" in r.output
+
+
+def test_classify_size_cap_exit_5_before_prv_search(runner, monkeypatch):
+    def no_prv(*args):
+        raise AssertionError("PRV search ran before the size cap")
+
+    monkeypatch.setattr(sys.modules["bkcalc.classify"], "prv_witnesses", no_prv)
+    r = run(runner, "classify", "--group", "A2",
+            "--weights", "1,0;0,1;1,1;1,0;0,1;1,0;0,1")
+    assert r.exit_code == 5
+    assert "exceeds cap 6" in r.output
+
+
+def test_classify_zero_depth_exit_2(runner):
+    r = run(runner, "classify", "--group", "A2", "--weights", "1,0;0,1;1,1",
+            "-K", "0")
+    assert r.exit_code == 2
+
+
+def test_zero_budget_is_not_the_default(runner):
+    r = run(runner, "classify", "--group", "A2", "--weights", "1,0;0,1;1,1",
+            "--budget", "0")
+    assert r.exit_code == 4
+    assert "oracle_overflow: true" in r.output
+    r = run(runner, "decompose", "--group", "A2", "--weights", "1,0;0,1",
+            "--budget", "0")
+    assert r.exit_code == 4
+
+
+def test_verify_oracle_overflow_exit_4(runner):
+    r = run(runner, "verify", "--group", "B3", "--suite", "oracle")
+    assert r.exit_code == 4
+    assert "exceeds budget cap" in r.output
+
+
+def test_verify_threads_weight_bound_and_depth(runner):
+    r = run(runner, "verify", "--group", "A2", "--suite", "equivalence",
+            "--suite", "prv-bound", "--weight-bound", "1", "-K", "2")
+    assert r.exit_code == 0
+    assert "equivalence: checked=64 " in r.output
+    assert "bound-1 box at K=2" in r.output
+    assert "prv-bound: checked=19 " in r.output
+
+
+@pytest.mark.parametrize("option", [["--weight-bound", "-1"], ["-K", "0"]])
+def test_verify_rejects_bad_sweep_parameters(runner, option):
+    r = run(runner, "verify", "--group", "A2", "--suite", "prv-bound", *option)
+    assert r.exit_code == 2
+
+
+def test_verify_defaults_come_from_config(runner, tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    cfg = RunConfig(group="A2", weight_bound=1, scaling_depth=2)
+    path.write_text(json.dumps(cfg.to_dict()))
+    monkeypatch.setenv("BKCALC_CONFIG", str(path))
+    r = run(runner, "verify", "--suite", "equivalence")
+    assert r.exit_code == 0
+    assert "checked=64 " in r.output and "K=2" in r.output
+
+
+def test_config_unknown_key_exit_2(runner, tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"group": "A1", "verify_cup": True}))
+    monkeypatch.setenv("BKCALC_CONFIG", str(path))
+    r = run(runner, "enumerate", "--s", "3")
+    assert r.exit_code == 2
+    assert "verify_cup" in r.output
+
+
+def test_config_missing_file_exit_2(runner, tmp_path, monkeypatch):
+    monkeypatch.setenv("BKCALC_CONFIG", str(tmp_path / "absent.json"))
+    r = run(runner, "enumerate", "--s", "3")
+    assert r.exit_code == 2

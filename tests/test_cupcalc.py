@@ -132,3 +132,25 @@ def test_length_cap():
     g = weyl_group(GroupType.parse("B3"))
     with pytest.raises(GroupTooLarge):
         SchubertCalculus(g, length_cap=5)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2"])
+def test_cup_product_matches_cup_coefficients(label):
+    g = weyl_group(GroupType.parse(label))
+    calc = schubert_calculus(g)
+    n = g.w0.length
+    for u, v in itertools.product(g.elements, repeat=2):
+        expected = CohomClass.zero(g)
+        for w in g.by_length(2 * n - u.length - v.length):
+            expected.add_term(multiply(g.w0, w), calc.cup_coefficient(u, v, w))
+        assert calc.cup_product(u, v) == expected
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(-1)])
+def test_invalid_intersection_number_raises(a2, monkeypatch, bad):
+    calc = SchubertCalculus(a2)
+    monkeypatch.setattr(calc, "eval_against_point", lambda p: bad)
+    with pytest.raises(ArithmeticError):
+        calc.cup_coefficient(a2.identity, a2.w0, a2.w0)
+    with pytest.raises(ArithmeticError):
+        calc.cup_product(a2.identity, a2.w0)

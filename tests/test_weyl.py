@@ -230,3 +230,10 @@ def test_word_format_round_trip(a2):
 def test_reduced_words_are_lex_minimal(a2):
     # w0 admits both 1.2.1 and 2.1.2; the stored word is the smaller
     assert a2.w0.word == (0, 1, 0)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_weight_star_is_minus_w0_on_dominant(label):
+    g = weyl_group(GroupType.parse(label))
+    for lam in itertools.product(range(3), repeat=g.rs.rank):
+        assert g.rs.star(lam) == tuple(-c for c in g.w0.act(lam))
