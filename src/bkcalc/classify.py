@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .bkring import enumerate_partition_tuples, right_w0_translates
 from .errors import InvalidWitness, NonDominantInput, OracleOverflow
-from .rootsys import RootSystem, Weight, add_weights, is_dominant, neg_weight
+from .rootsys import Weight, add_weights, is_dominant, neg_weight
 from .tensoracle import DEFAULT_BUDGET, OracleBudget, stable_mult_probe
 from .weyl import WeylElement, WeylGroup
 

@@ -27,7 +27,6 @@ from .bkring import bk_coefficient, enumerate_partition_tuples
 from .classify import classify as classify_tuple
 from .classify import face_sample
 from .errors import (
-    BkcalcError,
     GroupTooLarge,
     InvalidWitness,
     NonDominantInput,

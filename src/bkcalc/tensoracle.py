@@ -76,6 +76,8 @@ def weight_multiplicities(
         )
     key = (rs.group_type, lam)
     if key in _freudenthal_cache:
+        if len(_freudenthal_cache[key]) > budget.weight_support_cap:
+            raise OracleOverflow("weight support exceeds budget cap")
         return _freudenthal_cache[key]
 
     rank = rs.rank

@@ -11,8 +11,6 @@ i.e. the positive roots sent to negative roots by w acting on the left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GroupTooLarge, MixedRootSystems, RankMismatch
 from .rootsys import (
     GroupType,
@@ -211,7 +209,10 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> WeylGroup:
     key = rs.group_type
     if key not in _group_cache:
         _group_cache[key] = WeylGroup(rs, cap)
-    return _group_cache[key]
+    group = _group_cache[key]
+    if group.order() > cap:
+        raise GroupTooLarge(f"|W| exceeds enumeration cap {cap} for {key}")
+    return group
 
 
 def weyl_group(t: GroupType, cap: int = DEFAULT_GROUP_CAP) -> WeylGroup:

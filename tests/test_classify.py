@@ -12,6 +12,7 @@ from bkcalc import (
     cup_coefficient,
     face_sample,
     invariant_dim,
+    is_levi_movable,
     multiply,
     prv_witnesses,
     regularly_extremal_witnesses,
@@ -85,24 +86,24 @@ def test_regularly_extremal_examples(a2):
 
 @pytest.mark.parametrize("label", ["A2", "B2"])
 def test_cohomological_extremal_bijection(label):
-    """Right w0-translation matches the two witness sets exactly."""
+    """Regularly extremal witnesses are, by definition, the Levi-movable
+    triples in W^3 with sum v_i^-1 lambda_i = 0, in witness order."""
     g = weyl_group(GroupType.parse(label))
-    w0 = g.w0
-    for lam in itertools.product(range(2), repeat=g.rs.rank):
-        for mu in itertools.product(range(2), repeat=g.rs.rank):
-            for nu in itertools.product(range(2), repeat=g.rs.rank):
-                coh = cohomological_witnesses(g, (lam, mu, nu))
-                reg = regularly_extremal_witnesses(g, (lam, mu, nu))
-                translated = sorted(
-                    (
-                        tuple(multiply(u, w0) for u in tup)
-                        for tup in coh
-                    ),
-                    key=lambda t: (sum(w.length for w in t),
-                                   tuple(w.word for w in t)),
-                )
-                assert translated == reg
-                assert bool(coh) == bool(reg)
+    movable = [t for t in itertools.product(g.elements, repeat=3)
+               if is_levi_movable(t)]
+    zero = (0,) * g.rs.rank
+
+    def translated_sum(t, weights):
+        images = [g.inverse(v).act(lam) for v, lam in zip(t, weights)]
+        return tuple(map(sum, zip(*images)))
+
+    box = list(itertools.product(range(2), repeat=g.rs.rank))
+    for weights in itertools.product(box, repeat=3):
+        expected = sorted(
+            (t for t in movable if translated_sum(t, weights) == zero),
+            key=lambda t: (sum(w.length for w in t), tuple(w.word for w in t)),
+        )
+        assert regularly_extremal_witnesses(g, weights) == expected
 
 
 def test_classify_cartan_component(a2):

@@ -151,10 +151,33 @@ def test_verify_suites_pass(runner):
     assert r.output.count("[pass]") == 3
 
 
-def test_verify_all_smallest_group(runner):
-    r = run(runner, "verify", "--group", "A1", "--suite", "all")
+VERIFY_ALL = {
+    "A1": """\
+[pass] theorem3: checked=3 3 Levi-movable triples, all cup coefficients equal 1
+[pass] theorem7: checked=6 degenerated coefficients are 1 on the Levi-movable locus, 0 off it
+[pass] ring-axioms: checked=13 commutative, associative, Poincare duality holds
+[pass] partitions: checked=3 3 ordered 3-part inversion-set partitions
+[pass] equivalence: checked=27 desk-scale equivalence holds on the bound-2 box at K=3
+[pass] prv-bound: checked=10 10 PRV tuples all have an invariant vector
+[pass] oracle: checked=100 100 random pairs pass all oracle identities
+""",
+    "A2": """\
+[pass] theorem3: checked=15 15 Levi-movable triples, all cup coefficients equal 1
+[pass] theorem7: checked=50 degenerated coefficients are 1 on the Levi-movable locus, 0 off it
+[pass] ring-axioms: checked=267 commutative, associative, Poincare duality holds
+[pass] partitions: checked=15 15 ordered 3-part inversion-set partitions
+[pass] equivalence: checked=729 desk-scale equivalence holds on the bound-2 box at K=3
+[pass] prv-bound: checked=132 132 PRV tuples all have an invariant vector
+[pass] oracle: checked=100 100 random pairs pass all oracle identities
+""",
+}
+
+
+@pytest.mark.parametrize("label", sorted(VERIFY_ALL))
+def test_verify_all_smallest_group(runner, label):
+    r = run(runner, "verify", "--group", label, "--suite", "all")
     assert r.exit_code == 0
-    assert "[FAIL]" not in r.output
+    assert r.output == VERIFY_ALL[label]
 
 
 def test_verify_unknown_suite_exit_2(runner):

@@ -131,3 +131,9 @@ def test_oracle_overflow_is_typed(a2):
         stable_mult_probe(a2, ((1, 0), (0, 1), (1, 1)), 3, OracleBudget(dim_cap=4))
     # partial results carried on the error: k = 1 fits in the budget
     assert exc.value.partial == [(1, 1)]
+
+
+def test_weight_support_cap_applies_on_cache_hit(a2):
+    assert len(weight_multiplicities(a2, (2, 2))) == 19
+    with pytest.raises(OracleOverflow):
+        weight_multiplicities(a2, (2, 2), OracleBudget(weight_support_cap=3))

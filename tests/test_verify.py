@@ -3,8 +3,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from bkcalc import GroupType, OracleBudget, classify, weyl_group
-from bkcalc import verify
+from bkcalc import (
+    CohomClass,
+    Decomposition,
+    GroupType,
+    OracleBudget,
+    classify,
+    cup_coefficient,
+    weyl_dim,
+    weyl_group,
+)
+from bkcalc import bkring, verify
 
 
 @pytest.fixture(scope="module")
@@ -42,3 +51,42 @@ def test_g2_overflowed_tuple_is_cohomological_with_unit_dims():
     c = classify(g2, ((2, 2), (0, 0), (2, 2)), K=3)
     assert c.oracle_overflow and c.cohomological
     assert [d for _, d in c.oracle_mults] == [1, 1]
+
+
+# Each suite must be able to fail: plant one defect and expect its verdict.
+
+
+def test_theorem7_catches_the_support_of_the_cup_product(a2, monkeypatch):
+    monkeypatch.setattr(bkring, "is_levi_movable",
+                        lambda ws: cup_coefficient(*ws) != 0)
+    r = verify.suite_theorem7(a2)
+    assert not r.passed and r.counterexample["kind"] == "mismatch"
+
+
+def test_partitions_catches_a_dropped_tuple(a2, monkeypatch):
+    real = verify.enumerate_partition_tuples
+    monkeypatch.setattr(verify, "enumerate_partition_tuples",
+                        lambda g, s: real(g, s)[1:])
+    r = verify.suite_partitions(a2)
+    assert not r.passed and r.counterexample["tuple"] == verify._words(real(a2, 3)[0])
+
+
+def test_ring_axioms_catch_a_non_commutative_product(a2, monkeypatch):
+    monkeypatch.setattr(verify, "bk_product", lambda u, v: CohomClass.basis(u))
+    r = verify.suite_ring_axioms(a2)
+    assert not r.passed and r.counterexample["axiom"] == "commutativity"
+
+
+def test_oracle_catches_an_asymmetric_decompose(a2, monkeypatch):
+    real = verify.decompose
+
+    def lopsided(rs, lam, mu):
+        if lam <= mu:
+            return real(rs, lam, mu)
+        # right total dimension, all of it in the trivial module
+        dim = weyl_dim(rs, lam) * weyl_dim(rs, mu)
+        return Decomposition((((0,) * rs.rank, dim),))
+
+    monkeypatch.setattr(verify, "decompose", lopsided)
+    r = verify.suite_oracle(a2)
+    assert not r.passed and r.counterexample["axiom"] == "symmetry"

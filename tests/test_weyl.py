@@ -220,6 +220,12 @@ def test_group_too_large_cap():
         WeylGroup(rs, cap=4)
 
 
+def test_group_cap_applies_on_cache_hit():
+    assert weyl_group(GroupType.parse("B3")).order() == 48
+    with pytest.raises(GroupTooLarge):
+        weyl_group(GroupType.parse("B3"), cap=10)
+
+
 def test_word_format_round_trip(a2):
     for w in a2.elements:
         assert parse_word(a2, format_word(w)) is w
