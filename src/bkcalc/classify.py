@@ -144,13 +144,16 @@ def cohomological_witnesses(
 def regularly_extremal_witnesses(
     group: WeylGroup, weights: tuple[Weight, ...]
 ) -> list[tuple[WeylElement, ...]]:
-    """Witnesses for membership in a minimal regular face of the cone.
+    """Witnesses for membership in a minimal regular face of the cone."""
+    return _regular_from_cohomological(
+        group, cohomological_witnesses(group, weights)
+    )
 
-    These are the right w0-translates of the cohomological witnesses, as
+
+def _regular_from_cohomological(group: WeylGroup, coh):
+    """The right w0-translates of the cohomological witnesses, as
     sum (u_i w0)^-1 lambda_i = w0 (sum u_i^-1 lambda_i).  Translation
-    reverses length order, so the result is sorted again.
-    """
-    coh = cohomological_witnesses(group, weights)
+    reverses length order, so the result is sorted again."""
     return sorted(right_w0_translates(group, coh), key=_witness_sort_key)
 
 
@@ -167,7 +170,7 @@ def classify(
     # the partition enumeration enforces the tuple-size cap, so it runs
     # before the |W|^(s-1) PRV search
     coh = cohomological_witnesses(group, weights)
-    reg = sorted(right_w0_translates(group, coh), key=_witness_sort_key)
+    reg = _regular_from_cohomological(group, coh)
     prv = prv_witnesses(group, weights)
 
     mults: list[tuple[int, int]] = []
@@ -244,10 +247,10 @@ def face_sample(
             nu = neg_weight(w.act(partial))
             if is_dominant(nu):
                 # exact zero-sum identity by construction
-                assert all(
-                    c == 0
-                    for c in add_weights(partial, w_inv.act(nu))
-                )
+                if any(add_weights(partial, w_inv.act(nu))):
+                    raise ArithmeticError(
+                        f"face triple {(lam, mu, nu)} does not sum to zero"
+                    )
                 triples.append((lam, mu, nu))
     return FaceSample(witness, triples, _lattice_rank(triples))
 

@@ -53,14 +53,18 @@ def poly_degree(p: Poly) -> int:
     return max((sum(e) for e in p), default=0)
 
 
+def _require_length_cap(group: WeylGroup, length_cap: int) -> None:
+    if group.w0.length > length_cap:
+        raise GroupTooLarge(
+            f"l(w0) = {group.w0.length} exceeds oracle cap {length_cap}"
+        )
+
+
 class SchubertCalculus:
     """Polynomial Schubert-class representatives for one Weyl group."""
 
     def __init__(self, group: WeylGroup, length_cap: int = DEFAULT_LENGTH_CAP):
-        if group.w0.length > length_cap:
-            raise GroupTooLarge(
-                f"l(w0) = {group.w0.length} exceeds oracle cap {length_cap}"
-            )
+        _require_length_cap(group, length_cap)
         self.group = group
         self.rank = group.rs.rank
         self.cartan = group.rs.cartan
@@ -108,7 +112,8 @@ class SchubertCalculus:
         num = poly_add(p, self.reflect(i, p), Fraction(-1))
         out: Poly = {}
         for exp, coeff in num.items():
-            assert exp[i] >= 1, "numerator not divisible by the simple root"
+            if exp[i] < 1:
+                raise ArithmeticError("numerator not divisible by the simple root")
             e2 = list(exp)
             e2[i] -= 1
             out[tuple(e2)] = coeff
@@ -151,7 +156,10 @@ class SchubertCalculus:
         """Coefficient of the point class in a top-degree polynomial."""
         for i in reversed(self.group.w0.word):
             p = self.divided_difference(i, p)
-        assert poly_degree(p) == 0
+        if poly_degree(p) != 0:
+            raise ArithmeticError(
+                f"pairing with the point class left degree {poly_degree(p)}"
+            )
         return p.get(self._zero_exp, Fraction(0))
 
     # -- cup products ------------------------------------------------------
@@ -196,14 +204,11 @@ _calc_cache: dict = {}
 def schubert_calculus(
     group: WeylGroup, length_cap: int = DEFAULT_LENGTH_CAP
 ) -> SchubertCalculus:
+    _require_length_cap(group, length_cap)  # on cache hits too
     key = group.rs.group_type
     if key not in _calc_cache:
         _calc_cache[key] = SchubertCalculus(group, length_cap)
     return _calc_cache[key]
-
-
-def divided_difference(group: WeylGroup, i: int, p: Poly) -> Poly:
-    return schubert_calculus(group).divided_difference(i, p)
 
 
 def schubert_representative(group: WeylGroup, w: WeylElement) -> Poly:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import IndexOutOfRange, RankMismatch, UnsupportedType
@@ -231,58 +230,19 @@ class RootSystem:
         dominant lam."""
         return self.dominant_representative(neg_weight(lam))
 
-    # -- invariant bilinear form ------------------------------------------
-
-    @property
-    def gram_fw(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Gram matrix of the fundamental weights for the W-invariant form.
-
-        Normalized so that (alpha_i, alpha_i) = 2 * symmetrizers[i]; only
-        ratios matter to the callers (Freudenthal recursion).
-        """
-        if "gram" not in self._caches:
-            inv = _invert(self.cartan)
-            r = self.rank
-            d = self.symmetrizers
-            g = tuple(
-                tuple(inv[j][i] * d[j] for j in range(r)) for i in range(r)
-            )
-            for i in range(r):
-                for j in range(r):
-                    assert g[i][j] == g[j][i], "symmetrizer mismatch"
-            self._caches["gram"] = g
-        return self._caches["gram"]
-
-    def inner(self, x, y) -> Fraction:
-        """W-invariant form on fundamental-weight coordinates."""
-        g = self.gram_fw
-        return sum(
-            x[i] * g[i][j] * y[j] for i in range(self.rank) for j in range(self.rank)
-        )
-
-
-def _invert(m) -> list[list[Fraction]]:
-    """Exact inverse of a small integer matrix."""
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [v / p for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
 
 @lru_cache(maxsize=None)
 def build_root_system(t: GroupType) -> RootSystem:
     """Construct the positive-root table for a valid group type."""
     r = t.rank
     cartan = cartan_matrix(t)
+    sym = _symmetrizers(t)
+    # the tensor oracle pairs weights with roots through the symmetrizers,
+    # so (alpha_i, alpha_j) = sym[i] * cartan[i][j] must be symmetric
+    for i, j in itertools.combinations(range(r), 2):
+        if sym[i] * cartan[i][j] != sym[j] * cartan[j][i]:
+            raise ArithmeticError(f"{t}: symmetrizers do not symmetrize the "
+                                  f"Cartan matrix at ({i}, {j})")
 
     def reflect_root(i, c):
         pair = sum(cartan[i][m] * c[m] for m in range(r))
@@ -310,8 +270,8 @@ def build_root_system(t: GroupType) -> RootSystem:
                 if c2 not in coroot_of:
                     coroot_of[c2] = d2
                     nxt.append(c2)
-                else:
-                    assert coroot_of[c2] == d2, "inconsistent coroot orbit"
+                elif coroot_of[c2] != d2:
+                    raise ArithmeticError(f"{t}: inconsistent coroot orbit")
         frontier = nxt
 
     positive = [c for c in coroot_of if all(x >= 0 for x in c)]
@@ -320,8 +280,9 @@ def build_root_system(t: GroupType) -> RootSystem:
     )
     ordered = simple + rest
     expected = _N_POS[t.series](r)
-    assert len(ordered) == expected, (t, len(ordered), expected)
-    assert 2 * len(ordered) == len(coroot_of)
+    if len(ordered) != expected or 2 * len(ordered) != len(coroot_of):
+        raise ArithmeticError(f"{t}: {len(ordered)} positive roots of "
+                              f"{len(coroot_of)}, expected {expected}")
 
     fw = tuple(
         tuple(sum(cartan[k][j] * c[j] for j in range(r)) for k in range(r))
@@ -335,5 +296,5 @@ def build_root_system(t: GroupType) -> RootSystem:
         positive_coroots=tuple(coroot_of[c] for c in ordered),
         rho=(1,) * r,
         n_pos=len(ordered),
-        symmetrizers=_symmetrizers(t),
+        symmetrizers=sym,
     )

@@ -2,8 +2,8 @@
 
 Weight multiplicities come from the Freudenthal recursion; tensor products
 from the Klimyk sign-regularization over the weights of the smaller factor.
-Everything is exact integer / rational arithmetic; exceeding the size budget
-raises :class:`OracleOverflow` instead of degrading.
+Everything is exact integer arithmetic; exceeding the size budget raises
+:class:`OracleOverflow` instead of degrading.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     num = math.prod(rs.pairing(lam_rho, i) for i in range(rs.n_pos))
     den = math.prod(rs.pairing(rs.rho, i) for i in range(rs.n_pos))
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"Weyl dimension of {lam} is {num}/{den}")
     return q
 
 
@@ -81,56 +82,62 @@ def weight_multiplicities(
         return _freudenthal_cache[key]
 
     rank = rs.rank
-    gram = rs.gram_fw
-    alphas_fw = [
-        tuple(rs.cartan[k][i] for k in range(rank)) for i in range(rank)
-    ]
-    pos_fw = rs.positive_roots_fw
+    d = rs.symmetrizers
+    # With (alpha_i, alpha_i) = 2 d_i, a weight nu in fundamental-weight
+    # coordinates pairs with alpha = sum c_i alpha_i as sum c_i d_i nu_i.
+    roots = []
+    for c, alpha in zip(rs.positive_roots, rs.positive_roots_fw):
+        cd = tuple(ci * di for ci, di in zip(c, d))
+        roots.append((alpha, cd, sum(x * a for x, a in zip(cd, alpha))))
+    simple_fw = rs.positive_roots_fw[:rank]
 
-    def norm_shifted(mu):
-        x = add_weights(mu, rs.rho)
-        return sum(
-            x[i] * gram[i][j] * x[j] for i in range(rank) for j in range(rank)
-        )
-
-    top_norm = norm_shifted(lam)
     mults: dict[Weight, int] = {lam: 1}
-    level = [lam]
+    # each weight of a level carries k with lam - mu = sum k_i alpha_i
+    level = {lam: (0,) * rank}
     while level:
-        candidates = set()
-        for mu in level:
-            for a in alphas_fw:
-                candidates.add(tuple(m - x for m, x in zip(mu, a)))
-        level = []
+        candidates: dict[Weight, tuple[int, ...]] = {}
+        for mu, k in level.items():
+            for i, a in enumerate(simple_fw):
+                nu = tuple(m - x for m, x in zip(mu, a))
+                candidates[nu] = k[:i] + (k[i] + 1,) + k[i + 1:]
+        level = {}
         for mu in sorted(candidates):
-            denom = top_norm - norm_shifted(mu)
+            # |lam + rho|^2 - |mu + rho|^2 = (lam - mu, lam + mu + 2 rho)
+            k = candidates[mu]
+            denom = sum(
+                ki * di * (li + mi + 2)
+                for ki, di, li, mi in zip(k, d, lam, mu)
+            )
             if denom == 0:
                 continue
             total = 0
-            for alpha in pos_fw:
-                k = 1
+            for alpha, cd, norm in roots:
+                pair = sum(x * m for x, m in zip(cd, mu))
+                above = mu
                 while True:
-                    above = tuple(m + k * a for m, a in zip(mu, alpha))
+                    above = tuple(m + a for m, a in zip(above, alpha))
                     m_above = mults.get(above)
                     if m_above is None:
                         # every weight of the module above mu along alpha is
                         # already computed; a miss ends the alpha-string
                         break
-                    total += m_above * sum(
-                        above[i] * gram[i][j] * alpha[j]
-                        for i in range(rank)
-                        for j in range(rank)
-                    )
-                    k += 1
-            m = 2 * total / denom
-            assert m.denominator == 1 and m >= 0
-            m = int(m)
+                    pair += norm  # (mu + j alpha, alpha) at step j
+                    total += m_above * pair
+            m, rem = divmod(2 * total, denom)
+            if rem or m < 0:
+                raise ArithmeticError(
+                    f"Freudenthal multiplicity of {mu} in V_{lam} is "
+                    f"{2 * total}/{denom}, not a non-negative integer"
+                )
             if m > 0:
                 mults[mu] = m
-                level.append(mu)
+                level[mu] = k
                 if len(mults) > budget.weight_support_cap:
                     raise OracleOverflow("weight support exceeds budget cap")
-    assert sum(mults.values()) == dim
+    if sum(mults.values()) != dim:
+        raise ArithmeticError(
+            f"multiplicities of V_{lam} sum to {sum(mults.values())}, not {dim}"
+        )
     _freudenthal_cache[key] = mults
     return mults
 
@@ -167,12 +174,15 @@ def decompose(
             acc[top] = new
         else:
             acc.pop(top, None)
-    assert all(m > 0 for m in acc.values())
+    if any(m < 0 for m in acc.values()):
+        raise ArithmeticError(f"negative multiplicity in V_{lam} x V_{mu}")
     result = Decomposition(tuple(sorted(acc.items())))
     # dimension identity: the decomposition must account for the full space
-    assert sum(
-        m * weyl_dim(rs, w) for w, m in result.terms
-    ) == weyl_dim(rs, lam) * weyl_dim(rs, mu)
+    total = sum(m * weyl_dim(rs, w) for w, m in result.terms)
+    if total != weyl_dim(rs, lam) * weyl_dim(rs, mu):
+        raise ArithmeticError(
+            f"V_{lam} x V_{mu} decomposes into dimension {total}"
+        )
     _decompose_cache[key] = result
     return result
 

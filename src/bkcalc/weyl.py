@@ -118,7 +118,9 @@ class WeylGroup:
             self._by_length.setdefault(w.length, []).append(w)
         self.identity = self.elements[0]
         self.w0 = self.elements[-1]
-        assert self.w0.inversions == self.full_mask
+        if self.w0.inversions != self.full_mask:
+            raise ArithmeticError("the longest element does not invert every "
+                                  "positive root")
         self.simple = tuple(
             self._by_action[self._refl[i]] for i in range(rank)
         )

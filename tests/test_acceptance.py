@@ -84,7 +84,12 @@ def test_criterion_5_ring_axioms():
 
 
 def test_criterion_6_tensor_oracle_self_consistency():
-    ok = _all_pass(suite_oracle, ("A2", "B2", "G2", "A3"), samples=100)
+    ok = True
+    for label in ("A2", "B2", "G2", "A3"):
+        r = suite_oracle(_group(label), samples=100)
+        # the exact detail line rules out an inconclusive (overflowed) pair
+        ok = ok and r.passed and r.detail == (
+            "100 random pairs pass all oracle identities")
     _report(ok, "criterion 6: tensor oracle dimension identity, symmetry, "
                 "and permutation invariance (100 random pairs per group)")
 

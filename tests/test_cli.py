@@ -1,9 +1,11 @@
+import functools
 import json
 import sys
 
 import pytest
 from click.testing import CliRunner
 
+from bkcalc import OracleBudget, verify
 from bkcalc.cli import RunConfig, main
 
 
@@ -233,10 +235,16 @@ def test_zero_budget_is_not_the_default(runner):
     assert r.exit_code == 4
 
 
-def test_verify_oracle_overflow_exit_4(runner):
-    r = run(runner, "verify", "--group", "B3", "--suite", "oracle")
+def test_verify_oracle_overflow_exit_4(runner, monkeypatch):
+    # the prv-bound sweep does not catch an overflow: at the default budget
+    # it reaches one only after a long sweep, so the budget is tightened
+    tight = functools.partial(verify.invariant_dim,
+                              budget=OracleBudget(dim_cap=2))
+    monkeypatch.setattr(verify, "invariant_dim", tight)
+    r = run(runner, "verify", "--group", "A2", "--suite", "prv-bound",
+            "--weight-bound", "1")
     assert r.exit_code == 4
-    assert "exceeds budget cap" in r.output
+    assert "dim V_(0, 1) exceeds budget cap 2" in r.output
 
 
 def test_verify_threads_weight_bound_and_depth(runner):

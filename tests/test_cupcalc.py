@@ -134,6 +134,13 @@ def test_length_cap():
         SchubertCalculus(g, length_cap=5)
 
 
+def test_length_cap_applies_on_cache_hit():
+    g = weyl_group(GroupType.parse("B3"))
+    assert schubert_calculus(g).group is g
+    with pytest.raises(GroupTooLarge):
+        schubert_calculus(g, length_cap=5)
+
+
 @pytest.mark.parametrize("label", ["A2", "B2"])
 def test_cup_product_matches_cup_coefficients(label):
     g = weyl_group(GroupType.parse(label))

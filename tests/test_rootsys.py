@@ -5,6 +5,7 @@ from bkcalc import (
     IndexOutOfRange,
     UnsupportedType,
     build_root_system,
+    weight_multiplicities,
 )
 
 ALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "E6"]
@@ -109,10 +110,22 @@ def test_parse_round_trip():
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
-def test_gram_is_symmetric_positive_on_rho(label):
+def test_symmetrizers_symmetrize_the_cartan_matrix(label):
     rs = rs_of(label)
-    g = rs.gram_fw
+    d, a = rs.symmetrizers, rs.cartan
     for i in range(rs.rank):
         for j in range(rs.rank):
-            assert g[i][j] == g[j][i]
-    assert rs.inner(rs.rho, rs.rho) > 0
+            assert d[i] * a[i][j] == d[j] * a[j][i]
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_adjoint_module_weights(label):
+    """V_theta for the highest root theta is the adjoint module: each root
+    once, the zero weight rank times, nothing else."""
+    rs = rs_of(label)
+    theta = rs.positive_roots_fw[-1]
+    expected = {(0,) * rs.rank: rs.rank}
+    for alpha in rs.positive_roots_fw:
+        expected[alpha] = 1
+        expected[tuple(-x for x in alpha)] = 1
+    assert weight_multiplicities(rs, theta) == expected

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -137,3 +141,48 @@ def test_weight_support_cap_applies_on_cache_hit(a2):
     assert len(weight_multiplicities(a2, (2, 2))) == 19
     with pytest.raises(OracleOverflow):
         weight_multiplicities(a2, (2, 2), OracleBudget(weight_support_cap=3))
+
+
+_PLANTED = textwrap.dedent("""
+    import dataclasses, sys
+    from bkcalc import GroupType, rootsys, tensoracle
+
+    assert sys.flags.optimize and not __debug__
+
+    def expect_arithmetic_error(name, thunk):
+        try:
+            thunk()
+        except ArithmeticError:
+            print(name, "raised")
+        else:
+            print(name, "passed silently")
+
+    b2 = GroupType.parse("B2")
+    rs = rootsys.build_root_system(b2)
+    real = rootsys._symmetrizers
+    rootsys._symmetrizers = lambda t: (1,) * t.rank
+    expect_arithmetic_error("cartan symmetry",
+                            lambda: rootsys.build_root_system.__wrapped__(b2))
+    rootsys._symmetrizers = real
+    flat = dataclasses.replace(rs, symmetrizers=(1, 1))
+    expect_arithmetic_error("freudenthal quotient",
+                            lambda: tensoracle.weight_multiplicities(flat, (1, 0)))
+    tensoracle.weyl_dim = lambda rs, lam: 6
+    expect_arithmetic_error("multiplicity sum",
+                            lambda: tensoracle.weight_multiplicities(rs, (0, 1)))
+""")
+
+
+def test_runtime_checks_survive_python_O():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", _PLANTED], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "cartan symmetry raised",
+        "freudenthal quotient raised",
+        "multiplicity sum raised",
+    ]

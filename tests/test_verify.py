@@ -53,6 +53,21 @@ def test_g2_overflowed_tuple_is_cohomological_with_unit_dims():
     assert [d for _, d in c.oracle_mults] == [1, 1]
 
 
+def test_oracle_counts_overflow_as_inconclusive(a2, monkeypatch):
+    tight = functools.partial(verify.decompose, budget=OracleBudget(dim_cap=30))
+    monkeypatch.setattr(verify, "decompose", tight)
+    r = verify.suite_oracle(a2, samples=20)
+    assert r.passed and r.checked == 20
+    passed, _, rest = r.detail.partition(" random pairs pass all oracle identities; ")
+    inconclusive = int(rest.removesuffix(" inconclusive (oracle budget)"))
+    assert 0 < inconclusive < 20 and int(passed) + inconclusive == 20
+
+
+def test_oracle_detail_unchanged_without_overflow(a2):
+    r = verify.suite_oracle(a2, samples=20)
+    assert r.passed and r.detail == "20 random pairs pass all oracle identities"
+
+
 # Each suite must be able to fail: plant one defect and expect its verdict.
 
 
