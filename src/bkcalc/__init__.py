@@ -52,7 +52,6 @@ from .rootsys import (
     Weight,
     build_root_system,
     is_dominant,
-    is_strictly_dominant,
 )
 from .tensoracle import (
     Decomposition,
@@ -72,9 +71,7 @@ from .weyl import (
     enumerate_weyl,
     format_word,
     inverse,
-    inversion_set,
     is_biconvex,
-    longest_element,
     multiply,
     parse_word,
     weight_star,

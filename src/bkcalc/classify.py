@@ -256,25 +256,19 @@ def face_sample(
 
 
 def _lattice_rank(triples) -> int:
-    from fractions import Fraction
+    """Rank of the sample matrix by fraction-free (Bareiss) elimination.
 
-    rows = [
-        [Fraction(c) for w in t for c in w] for t in triples
-    ]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivot_col = 0
-    while rows and pivot_col < cols:
-        piv = next((r for r in rows if r[pivot_col] != 0), None)
+    Row r becomes (piv[c] * r - r[c] * piv) / prev, where prev is the
+    previous pivot; the division is exact, so entries stay integers.
+    """
+    rows = [[c for w in t for c in w] for t in triples]
+    rank, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in rows if r[c]), None)
         if piv is None:
-            pivot_col += 1
             continue
         rows.remove(piv)
-        piv = [c / piv[pivot_col] for c in piv]
-        rows = [
-            [c - r[pivot_col] * p for c, p in zip(r, piv)]
-            for r in rows
-        ]
-        rank += 1
-        pivot_col += 1
+        rows = [[(piv[c] * x - r[c] * p) // prev for x, p in zip(r, piv)]
+                for r in rows]
+        rank, prev = rank + 1, piv[c]
     return rank

@@ -77,10 +77,6 @@ def is_dominant(lam: Weight) -> bool:
     return all(c >= 0 for c in lam)
 
 
-def is_strictly_dominant(lam: Weight) -> bool:
-    return all(c > 0 for c in lam)
-
-
 def add_weights(a: Weight, b: Weight) -> Weight:
     return tuple(x + y for x, y in zip(a, b))
 

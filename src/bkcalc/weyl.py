@@ -238,15 +238,6 @@ def inverse(w: WeylElement) -> WeylElement:
     return w.group.inverse(w)
 
 
-def longest_element(group: WeylGroup) -> WeylElement:
-    return group.w0
-
-
-def inversion_set(w: WeylElement) -> int:
-    """Bitmask of Phi_w over the positive-root indices."""
-    return w.inversions
-
-
 def act(w: WeylElement, lam: Weight) -> Weight:
     return w.act(lam)
 

@@ -42,9 +42,9 @@ def _all_pass(suite, labels, **params):
 
 
 def test_criterion_1_degenerate_coefficient_vs_cup():
-    ok = _all_pass(suite_theorem7, ("A2", "B2", "G2", "A3", "B3"))
+    ok = _all_pass(suite_theorem7, ("A2", "B2", "G2", "A3", "B3", "A4", "D4"))
     _report(ok, "criterion 1: Levi-movable iff cup=1, otherwise "
-                "degenerate coefficient=0 (A2,B2,G2,A3,B3 exhaustive)")
+                "degenerate coefficient=0 (A2,B2,G2,A3,B3,A4,D4 exhaustive)")
 
 
 def test_criterion_2_cohomological_equals_prv_with_unit_dims():

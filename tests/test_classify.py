@@ -14,6 +14,7 @@ from bkcalc import (
     invariant_dim,
     is_levi_movable,
     multiply,
+    parse_word,
     prv_witnesses,
     regularly_extremal_witnesses,
     weight_star,
@@ -164,6 +165,16 @@ def test_face_sample_triples_lie_in_the_cone(a2):
     fs = face_sample(a2, (a2.identity, a2.identity, a2.w0), 2)
     for triple in fs.triples:
         assert invariant_dim(a2.rs, triple) >= 1
+
+
+def test_face_sample_rank_deficient():
+    """The 11 samples of this G2 face span only rank 3 < 2r, and elimination
+    over them meets pivots that are not units."""
+    g2 = weyl_group(GroupType.parse("G2"))
+    witness = tuple(parse_word(g2, x) for x in ("2.1", "1.2.1.2", "e"))
+    fs = face_sample(g2, witness, 2)
+    assert len(fs.triples) == 11
+    assert fs.lattice_rank == 3
 
 
 def test_face_sample_invalid_witness(a2):

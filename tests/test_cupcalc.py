@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -28,9 +27,9 @@ def calc(a2):
 
 
 def test_divided_difference_basics(calc):
-    assert calc.divided_difference(0, {(0, 0): Fraction(3)}) == {}
+    assert calc.divided_difference(0, {(0, 0): 3}) == {}
     # d_i applied to alpha_i gives the constant 2
-    assert calc.divided_difference(0, calc.variable(0)) == {(0, 0): Fraction(2)}
+    assert calc.divided_difference(0, calc.variable(0)) == {(0, 0): 2}
 
 
 def test_divided_difference_squares_to_zero(calc):
@@ -44,16 +43,14 @@ def test_representative_degrees(a2, calc):
     n = a2.w0.length
     for w in a2.elements:
         assert poly_degree(calc.representative(w)) == n - w.length
-    assert calc.representative(a2.w0) == {(0, 0): Fraction(1)}
+    # every representative is |W| times the true class, whose R_{w0} is 1
+    assert calc.representative(a2.w0) == {(0, 0): a2.order()}
 
 
-def test_point_class_is_root_product_over_group_order(a2, calc):
-    # (a1 * a2 * (a1 + a2)) / 6 expanded
-    expected = {
-        (2, 1): Fraction(1, 6),
-        (1, 2): Fraction(1, 6),
-    }
-    assert calc.representative(a2.identity) == expected
+def test_point_class_is_root_product(a2, calc):
+    # a1 * a2 * (a1 + a2) expanded, with no 1/|W| factor
+    assert calc.point_class() == {(2, 1): 1, (1, 2): 1}
+    assert calc.representative(a2.identity) == calc.point_class()
 
 
 def test_braid_independence(a2, calc):
@@ -153,11 +150,44 @@ def test_cup_product_matches_cup_coefficients(label):
         assert calc.cup_product(u, v) == expected
 
 
-@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(-1)])
+@pytest.mark.parametrize("bad", [{(0, 0): 3}, {(0, 0): -6}])
 def test_invalid_intersection_number_raises(a2, monkeypatch, bad):
+    """A planted R_{w0} of |W|/2 or -|W| makes a pairing 1/2 or -1."""
     calc = SchubertCalculus(a2)
-    monkeypatch.setattr(calc, "eval_against_point", lambda p: bad)
+    real = calc.representative
+    monkeypatch.setattr(calc, "representative",
+                        lambda w: bad if w is a2.w0 else real(w))
+    s12 = multiply(*a2.simple)
     with pytest.raises(ArithmeticError):
-        calc.cup_coefficient(a2.identity, a2.w0, a2.w0)
+        calc.cup_coefficient(a2.simple[0], s12, a2.w0)
     with pytest.raises(ArithmeticError):
-        calc.cup_product(a2.identity, a2.w0)
+        calc.cup_product(a2.w0, s12)
+
+
+def _full_string_coefficient(calc, u, v, w):
+    """Reference pairing: the constant term of d_{w0}(R_u R_v R_w) along
+    the whole w0 string, over |W|^3."""
+    p = poly_mul(poly_mul(calc.representative(u), calc.representative(v)),
+                 calc.representative(w))
+    for i in reversed(calc.group.w0.word):
+        p = calc.divided_difference(i, p)
+    assert poly_degree(p) == 0
+    c, r = divmod(p.get((0,) * calc.rank, 0), calc.group.order() ** 3)
+    assert r == 0 and c >= 0
+    return c
+
+
+@pytest.mark.parametrize("label,triples", [
+    ("A2", 35), ("B2", 63), ("G2", 143), ("A3", 1115),
+])
+def test_short_chain_matches_full_string(label, triples):
+    g = weyl_group(GroupType.parse(label))
+    calc = schubert_calculus(g)
+    n = g.w0.length
+    checked = 0
+    for u, v in itertools.product(g.elements, repeat=2):
+        for w in g.by_length(2 * n - u.length - v.length):
+            checked += 1
+            assert calc.cup_coefficient(u, v, w) == \
+                _full_string_coefficient(calc, u, v, w), (u, v, w)
+    assert checked == triples

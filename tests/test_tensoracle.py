@@ -145,7 +145,7 @@ def test_weight_support_cap_applies_on_cache_hit(a2):
 
 _PLANTED = textwrap.dedent("""
     import dataclasses, sys
-    from bkcalc import GroupType, rootsys, tensoracle
+    from bkcalc import GroupType, cupcalc, rootsys, tensoracle, weyl_group
 
     assert sys.flags.optimize and not __debug__
 
@@ -170,6 +170,14 @@ _PLANTED = textwrap.dedent("""
     tensoracle.weyl_dim = lambda rs, lam: 6
     expect_arithmetic_error("multiplicity sum",
                             lambda: tensoracle.weight_multiplicities(rs, (0, 1)))
+    a2 = weyl_group(GroupType.parse("A2"))
+    calc = cupcalc.SchubertCalculus(a2)
+    real = calc.representative
+    # R_{w0} = |W|/2 turns the pairing of (s1, s1 s2, w0) into 1/2
+    calc.representative = lambda w: {(0, 0): 3} if w is a2.w0 else real(w)
+    s1, s2 = a2.simple
+    expect_arithmetic_error("cup pairing",
+                            lambda: calc.cup_coefficient(s1, s1 * s2, a2.w0))
 """)
 
 
@@ -185,4 +193,5 @@ def test_runtime_checks_survive_python_O():
         "cartan symmetry raised",
         "freudenthal quotient raised",
         "multiplicity sum raised",
+        "cup pairing raised",
     ]
