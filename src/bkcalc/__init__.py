@@ -71,7 +71,6 @@ from .weyl import (
     enumerate_weyl,
     format_word,
     inverse,
-    is_biconvex,
     multiply,
     parse_word,
     weight_star,

@@ -82,41 +82,45 @@ def _witness_sort_key(tup):
     return (sum(w.length for w in tup), tuple(w.word for w in tup))
 
 
+def _orbit_cosets(
+    group: WeylGroup, lam: Weight
+) -> dict[Weight, list[WeylElement]]:
+    """Each point of the orbit W.lam mapped to the elements carrying lam
+    there (a coset of the stabilizer), in ``group.elements`` order."""
+    cosets: dict[Weight, list[WeylElement]] = {}
+    for w in group.elements:
+        cosets.setdefault(w.act(lam), []).append(w)
+    return cosets
+
+
 def prv_witnesses(
     group: WeylGroup, weights: tuple[Weight, ...]
 ) -> list[tuple[WeylElement, ...]]:
     """All reduced witness tuples with the translated weights summing to zero.
 
-    The search enumerates the first s-1 slots over W; the last element is
-    reported as the minimal-length element carrying the last weight onto
-    the forced value, so each geometric witness appears once.
+    The first s-1 slots range over W; the last element is reported as the
+    minimal-length element carrying the last weight onto the forced value,
+    so each geometric witness appears once.  The search walks the orbit
+    points of the first s-1 weights, looks the negated sum up in the last
+    orbit, and expands each solution through the stabilizer cosets: it costs
+    the product of those orbit sizes plus the size of the output.
     """
     if len(weights) < 2:
         raise ValueError("need at least two weights")
     _require_dominant_tuple(weights)
     for w in weights:
         group.rs.check_rank(w)
-    rs = group.rs
-    last = weights[-1]
-
-    # minimal-length element sending `last` onto each orbit point
-    key = ("orbit_min", last)
-    if key not in group.misc_cache:
-        orbit: dict[Weight, WeylElement] = {}
-        for w in group.elements:
-            orbit.setdefault(w.act(last), w)
-        group.misc_cache[key] = orbit
-    orbit = group.misc_cache[key]
+    cosets = {lam: _orbit_cosets(group, lam) for lam in set(weights)}
+    front = [cosets[lam] for lam in weights[:-1]]
+    last = cosets[weights[-1]]
 
     out = []
-    for front in itertools.product(group.elements, repeat=len(weights) - 1):
-        total = (0,) * rs.rank
-        for u, lam in zip(front, weights[:-1]):
-            total = add_weights(total, u.act(lam))
-        target = neg_weight(total)
-        w_last = orbit.get(target)
-        if w_last is not None:
-            out.append(front + (w_last,))
+    for points in itertools.product(*front):
+        target = tuple(-sum(c) for c in zip(*points))
+        if target in last:
+            choices = [orbit[p] for orbit, p in zip(front, points)]
+            choices.append(last[target][:1])
+            out.extend(itertools.product(*choices))
     out.sort(key=_witness_sort_key)
     return out
 
@@ -129,13 +133,17 @@ def cohomological_witnesses(
     _require_dominant_tuple(weights)
     for w in weights:
         group.rs.check_rank(w)
-    rs = group.rs
+    partitions = enumerate_partition_tuples(group, len(weights))
+    # u -> u^-1 lam, once per weight: |W| actions instead of one per tuple
+    images = {
+        lam: {u: group.inverse(u).act(lam) for u in group.elements}
+        for lam in set(weights)
+    }
+    columns = [images[lam] for lam in weights]
     out = []
-    for tup in enumerate_partition_tuples(group, len(weights)):
-        total = (0,) * rs.rank
-        for u, lam in zip(tup, weights):
-            total = add_weights(total, group.inverse(u).act(lam))
-        if all(c == 0 for c in total):
+    for tup in partitions:
+        translated = (col[u] for col, u in zip(columns, tup))
+        if not any(map(sum, zip(*translated))):
             out.append(tup)
     out.sort(key=_witness_sort_key)
     return out
@@ -168,7 +176,7 @@ def classify(
     if K < 1:
         raise ValueError("scaling depth must be at least 1")
     # the partition enumeration enforces the tuple-size cap, so it runs
-    # before the |W|^(s-1) PRV search
+    # before the PRV search, whose orbit walk grows with s
     coh = cohomological_witnesses(group, weights)
     reg = _regular_from_cohomological(group, coh)
     prv = prv_witnesses(group, weights)

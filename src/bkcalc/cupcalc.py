@@ -24,7 +24,7 @@ never calls it.
 from __future__ import annotations
 
 from .bkring import CohomClass
-from .errors import GroupTooLarge
+from .errors import GroupTooLarge, MixedRootSystems
 from .weyl import WeylElement, WeylGroup, _same_group, multiply
 
 # polynomial in the simple-root variables: exponent tuple -> coefficient
@@ -174,9 +174,14 @@ class SchubertCalculus:
 
     # -- cup products ------------------------------------------------------
 
+    def _require_own_group(self, *ws: WeylElement) -> None:
+        if _same_group(*ws) is not self.group:
+            raise MixedRootSystems(
+                f"elements do not belong to {self.group.rs.group_type}")
+
     def cup_coefficient(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
         """Triple intersection number of the three Schubert classes."""
-        _same_group(u, v, w)
+        self._require_own_group(u, v, w)
         n = self.group.w0.length
         if u.length + v.length + w.length != 2 * n:
             return 0
@@ -187,7 +192,8 @@ class SchubertCalculus:
 
     def cup_product(self, u: WeylElement, v: WeylElement) -> CohomClass:
         """sigma_u . sigma_v expanded in the Schubert basis."""
-        group = _same_group(u, v)
+        self._require_own_group(u, v)
+        group = self.group
         out = CohomClass.zero(group)
         target = 2 * group.w0.length - u.length - v.length
         uv = poly_mul(self.representative(u), self.representative(v))

@@ -180,23 +180,6 @@ class RootSystem:
             }
         return self._caches["fw_index"]
 
-    @property
-    def root_sum_index(self) -> dict[tuple[int, int], int]:
-        """(i, j) -> index of root_i + root_j, for pairs whose sum is a root."""
-        if "root_sum" not in self._caches:
-            by_sr = {c: i for i, c in enumerate(self.positive_roots)}
-            table = {}
-            for i, j in itertools.combinations(range(self.n_pos), 2):
-                s = tuple(
-                    a + b
-                    for a, b in zip(self.positive_roots[i], self.positive_roots[j])
-                )
-                if s in by_sr:
-                    table[(i, j)] = by_sr[s]
-                    table[(j, i)] = by_sr[s]
-            self._caches["root_sum"] = table
-        return self._caches["root_sum"]
-
     def pairing(self, lam: Weight, coroot_index: int) -> int:
         """<lam, alpha^vee> for the indexed positive coroot."""
         self.check_rank(lam)

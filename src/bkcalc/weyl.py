@@ -110,8 +110,12 @@ class WeylGroup:
                 perm[j] = rs.fw_index[img]
             self._root_perm.append(tuple(perm))
 
-        self.elements: tuple[WeylElement, ...] = self._enumerate(cap)
+        elements, inverse_actions = self._enumerate(cap)
+        self.elements: tuple[WeylElement, ...] = elements
         self._by_action = {w.action: w for w in self.elements}
+        self._inverse = {
+            w: self._by_action[a] for w, a in zip(elements, inverse_actions)
+        }
         self._by_inversions = {w.inversions: w for w in self.elements}
         self._by_length: dict[int, list[WeylElement]] = {}
         for w in self.elements:
@@ -124,28 +128,17 @@ class WeylGroup:
         self.simple = tuple(
             self._by_action[self._refl[i]] for i in range(rank)
         )
-        self._inverse_cache: dict[WeylElement, WeylElement] = {}
         self._partition_cache: dict = {}
-        self.misc_cache: dict = {}
-
-        # -w0 as a permutation of the positive roots
-        neg_w0 = tuple(tuple(-v for v in row) for row in self.w0.action)
-        self.minus_w0_perm = tuple(
-            rs.fw_index[
-                tuple(
-                    sum(neg_w0[k][j] * fw[j] for j in range(rank))
-                    for k in range(rank)
-                )
-            ]
-            for fw in rs.positive_roots_fw
-        )
 
     def _enumerate(self, cap):
+        """The elements in (length, lex word) order, and the action matrix
+        of each element's inverse, from inv(w s_i) = s_i inv(w)."""
         rank = self.rs.rank
         ident_action = tuple(
             tuple(int(i == j) for j in range(rank)) for i in range(rank)
         )
         elements = [WeylElement(self, ident_action, (), 0, 0)]
+        inverse_of = {ident_action: ident_action}
         level = {ident_action: elements[0]}
         count = 1
         while level:
@@ -159,6 +152,7 @@ class WeylGroup:
                     a = _matmul(w.action, self._refl[i])
                     if a in nxt:
                         continue
+                    inverse_of[a] = _matmul(self._refl[i], inverse_of[w.action])
                     mask = 1 << i
                     perm = self._root_perm[i]
                     inv = w.inversions
@@ -175,7 +169,7 @@ class WeylGroup:
             batch = sorted(nxt.values(), key=lambda e: e.word)
             elements.extend(batch)
             level = {w.action: w for w in batch}
-        return tuple(elements)
+        return tuple(elements), tuple(inverse_of[w.action] for w in elements)
 
     # -- lookups ----------------------------------------------------------
 
@@ -190,14 +184,7 @@ class WeylGroup:
         return self._by_inversions.get(mask)
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        if w not in self._inverse_cache:
-            a = w.action
-            rank = len(a)
-            m = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
-            for i in reversed(w.word):
-                m = _matmul(m, self._refl[i])
-            self._inverse_cache[w] = self._by_action[m]
-        return self._inverse_cache[w]
+        return self._inverse[w]
 
     def order(self) -> int:
         return len(self.elements)
@@ -271,30 +258,6 @@ def borel_weil_bott(rs: RootSystem, chi: Weight):
                 break
         else:
             return q, tuple(c - 1 for c in x)
-
-
-def is_biconvex(rs: RootSystem, mask: int) -> bool:
-    """True iff mask and its complement are both closed under root addition."""
-    comp = ((1 << rs.n_pos) - 1) ^ mask
-    table = rs.root_sum_index
-    for (i, j), k in table.items():
-        if i < j:
-            if (mask >> i & 1) and (mask >> j & 1) and not (mask >> k & 1):
-                return False
-            if (comp >> i & 1) and (comp >> j & 1) and not (comp >> k & 1):
-                return False
-    return True
-
-
-def minus_w0_mask(group: WeylGroup, mask: int) -> int:
-    """Image of a root subset under the permutation -w0 of the positive roots."""
-    out = 0
-    perm = group.minus_w0_perm
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 # -- reduced-word wire format ---------------------------------------------

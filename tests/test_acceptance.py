@@ -73,6 +73,7 @@ def test_criterion_3_partition_counts_against_brute_force():
 
 def test_criterion_4_prv_triples_lie_in_the_cone():
     ok = _all_pass(suite_prv_bound, ("A2", "B2"), weight_bound=2)
+    ok = ok and _all_pass(suite_prv_bound, ("A3", "B3", "C3"), weight_bound=1)
     _report(ok, "criterion 4: every triple with a length-additive orbit "
                 "witness has invariant dimension >= 1")
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from bkcalc import (
     classify,
     cohomological_witnesses,
     cup_coefficient,
+    enumerate_partition_tuples,
     face_sample,
     invariant_dim,
     is_levi_movable,
@@ -105,6 +107,69 @@ def test_cohomological_extremal_bijection(label):
             key=lambda t: (sum(w.length for w in t), tuple(w.word for w in t)),
         )
         assert regularly_extremal_witnesses(g, weights) == expected
+
+
+def _witness_order(t):
+    return (sum(w.length for w in t), tuple(w.word for w in t))
+
+
+def _prv_reference(g, weights):
+    """Test-only brute force over W^(s-1): the last slot is the first
+    element of W carrying the last weight onto minus the sum of the others."""
+    images = [{u: u.act(lam) for u in g.elements} for lam in weights]
+    first = {}
+    for w in g.elements:
+        first.setdefault(images[-1][w], w)
+    out = []
+    for front in itertools.product(g.elements, repeat=len(weights) - 1):
+        total = map(sum, zip(*(im[u] for im, u in zip(images, front))))
+        w_last = first.get(tuple(-c for c in total))
+        if w_last is not None:
+            out.append(front + (w_last,))
+    return sorted(out, key=_witness_order)
+
+
+def _coh_reference(g, weights):
+    """Test-only per-tuple loop: u^-1 lambda acted on every partition tuple."""
+    out = []
+    for tup in enumerate_partition_tuples(g, len(weights)):
+        images = [g.inverse(u).act(lam) for u, lam in zip(tup, weights)]
+        if all(c == 0 for c in map(sum, zip(*images))):
+            out.append(tup)
+    return sorted(out, key=_witness_order)
+
+
+def _assert_searches_match(g, cases):
+    for weights in cases:
+        assert prv_witnesses(g, weights) == _prv_reference(g, weights), weights
+        assert (cohomological_witnesses(g, weights)
+                == _coh_reference(g, weights)), weights
+
+
+@pytest.mark.parametrize("label,s", [
+    ("A2", 3), ("B2", 3), ("G2", 3), ("A3", 3),
+    ("A2", 2), ("B2", 2), ("A2", 4), ("B2", 4),
+])
+def test_searches_match_brute_force_on_boxes(label, s):
+    """Both witness lists equal the brute-force ones, order included, on
+    every s-tuple of {0,1}^r weights."""
+    g = weyl_group(GroupType.parse(label))
+    box = list(itertools.product(range(2), repeat=g.rs.rank))
+    _assert_searches_match(g, itertools.product(box, repeat=s))
+
+
+def test_searches_match_brute_force_on_a4_witness_rounds():
+    """The 60 A4 triples of rounds 0-2 of the benchmark's classify-witness
+    workload at seed 1 (perfbench/workloads.py draws them the same way)."""
+    g = weyl_group(GroupType.parse("A4"))
+    box = list(itertools.product(range(2), repeat=4))
+    cases = []
+    for r in range(3):
+        rng = random.Random(f"classify-witness:1:{r}")
+        picks = rng.sample(list(itertools.product(range(len(box)), repeat=3)), 20)
+        cases.extend(tuple(box[i] for i in t) for t in picks)
+    assert len(cases) == 60
+    _assert_searches_match(g, cases)
 
 
 def test_classify_cartan_component(a2):

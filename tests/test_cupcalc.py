@@ -6,6 +6,7 @@ from bkcalc import (
     CohomClass,
     GroupTooLarge,
     GroupType,
+    MixedRootSystems,
     bk_coefficient,
     enumerate_levi_movable_tuples,
     is_levi_movable,
@@ -75,6 +76,18 @@ def test_cup_coefficient_examples(a2, calc):
     assert calc.cup_coefficient(s1, s21, w0) == 0
     # off-degree triples vanish
     assert calc.cup_coefficient(s1, s2, w0) == 0
+
+
+def test_cup_coefficient_rejects_foreign_elements(calc):
+    b2 = weyl_group(GroupType.parse("B2"))
+    with pytest.raises(MixedRootSystems):
+        calc.cup_coefficient(b2.identity, b2.w0, b2.simple[0])
+
+
+def test_cup_product_rejects_foreign_elements(calc):
+    b2 = weyl_group(GroupType.parse("B2"))
+    with pytest.raises(MixedRootSystems):
+        calc.cup_product(*b2.simple)
 
 
 def test_cup_coefficient_symmetry(a2, calc):

@@ -57,17 +57,20 @@ def test_fw_coordinates_agree_with_cartan(label):
 
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_root_addition_closure(label):
+    """Whenever a + b is a positive root, the fundamental-weight lookup
+    finds it at the sum of the two fundamental-weight coordinates."""
     rs = rs_of(label)
-    roots = set(rs.positive_roots)
-    for a in rs.positive_roots:
-        for b in rs.positive_roots:
-            s = tuple(x + y for x, y in zip(a, b))
-            # the sum table must list the sum whenever it is a root
-            if s in roots:
-                i = rs.positive_roots.index(a)
-                j = rs.positive_roots.index(b)
-                if i != j:
-                    assert rs.root_sum_index[(i, j)] == rs.positive_roots.index(s)
+    index = {r: i for i, r in enumerate(rs.positive_roots)}
+    sums = 0
+    for a, fa in zip(rs.positive_roots, rs.positive_roots_fw):
+        for b, fb in zip(rs.positive_roots, rs.positive_roots_fw):
+            k = index.get(tuple(x + y for x, y in zip(a, b)))
+            if k is not None:
+                sums += 1
+                assert rs.fw_index[tuple(x + y for x, y in zip(fa, fb))] == k
+    # every non-simple positive root is a sum of a positive root and a
+    # simple root
+    assert sums >= 2 * (rs.n_pos - rs.rank)
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)

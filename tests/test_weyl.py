@@ -13,7 +13,6 @@ from bkcalc import (
     build_root_system,
     format_word,
     inverse,
-    is_biconvex,
     multiply,
     parse_word,
     weight_star,
@@ -94,6 +93,19 @@ def test_multiply_and_inverse(a2):
     assert format_word(a2.w0) == "1.2.1"
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "D4"])
+def test_inverse_reverses_the_word(label):
+    """The inverse table built during enumeration agrees with the product
+    of the simple reflections of the reversed word."""
+    g = weyl_group(GroupType.parse(label))
+    for w in g.elements:
+        expected = g.identity
+        for i in reversed(w.word):
+            expected = multiply(expected, g.simple[i])
+        assert inverse(w) is expected
+        assert multiply(w, inverse(w)) is g.identity
+
+
 def test_mixed_root_systems_rejected(a2):
     b2 = weyl_group(GroupType.parse("B2"))
     with pytest.raises(MixedRootSystems):
@@ -147,16 +159,25 @@ def test_borel_weil_bott_inverts_dot(label):
             assert borel_weil_bott(g.rs, w.dot(lam)) == (w.length, lam)
 
 
+def _minus_w0_mask(g, mask):
+    """Test-only oracle: the image of a root subset under the permutation
+    -w0 of the positive roots."""
+    rs = g.rs
+    out = 0
+    for i, fw in enumerate(rs.positive_roots_fw):
+        if mask >> i & 1:
+            out |= 1 << rs.fw_index[tuple(-c for c in g.w0.act(fw))]
+    return out
+
+
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
 def test_complement_identities(label):
     """Phi_{w0 w} is the complement of Phi_w; Phi_{w w0} its -w0 image."""
-    from bkcalc.weyl import minus_w0_mask
-
     g = weyl_group(GroupType.parse(label))
     for w in g.elements:
         comp = g.full_mask ^ w.inversions
         assert multiply(g.w0, w).inversions == comp
-        assert multiply(w, g.w0).inversions == minus_w0_mask(g, comp)
+        assert multiply(w, g.w0).inversions == _minus_w0_mask(g, comp)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
@@ -194,13 +215,28 @@ def test_dot_action_composes(lam, i, j):
     assert u.dot(v.dot(lam)) == multiply(u, v).dot(lam)
 
 
+def _is_biconvex(rs, mask):
+    """Test-only oracle: mask and its complement are both closed under root
+    addition."""
+    index = {r: i for i, r in enumerate(rs.positive_roots)}
+    comp = ((1 << rs.n_pos) - 1) ^ mask
+    for (i, a), (j, b) in itertools.combinations(enumerate(rs.positive_roots), 2):
+        k = index.get(tuple(x + y for x, y in zip(a, b)))
+        if k is None:
+            continue
+        for m in (mask, comp):
+            if m >> i & 1 and m >> j & 1 and not m >> k & 1:
+                return False
+    return True
+
+
 @pytest.mark.parametrize("label", ["A2", "B2"])
 def test_biconvex_iff_inversion_set(label):
     g = weyl_group(GroupType.parse(label))
     rs = g.rs
     inversion_masks = {w.inversions for w in g.elements}
     for mask in range(1 << rs.n_pos):
-        assert is_biconvex(rs, mask) == (mask in inversion_masks)
+        assert _is_biconvex(rs, mask) == (mask in inversion_masks)
         assert (g.from_inversion_set(mask) is not None) == (
             mask in inversion_masks
         )
