@@ -86,10 +86,12 @@ def _orbit_cosets(
     group: WeylGroup, lam: Weight
 ) -> dict[Weight, list[WeylElement]]:
     """Each point of the orbit W.lam mapped to the elements carrying lam
-    there (a coset of the stabilizer), in ``group.elements`` order."""
+    there (a coset of the stabilizer), in ``group.elements`` order; w lam is
+    read from the table u -> u^-1 lam at u = w^-1."""
+    images = group.inverse_images(lam)
     cosets: dict[Weight, list[WeylElement]] = {}
     for w in group.elements:
-        cosets.setdefault(w.act(lam), []).append(w)
+        cosets.setdefault(images[group.inverse(w)], []).append(w)
     return cosets
 
 
@@ -134,11 +136,7 @@ def cohomological_witnesses(
     for w in weights:
         group.rs.check_rank(w)
     partitions = enumerate_partition_tuples(group, len(weights))
-    # u -> u^-1 lam, once per weight: |W| actions instead of one per tuple
-    images = {
-        lam: {u: group.inverse(u).act(lam) for u in group.elements}
-        for lam in set(weights)
-    }
+    images = {lam: group.inverse_images(lam) for lam in set(weights)}
     columns = [images[lam] for lam in weights]
     out = []
     for tup in partitions:

@@ -79,7 +79,7 @@ def suite_theorem7(group: WeylGroup) -> SuiteResult:
     cup = schubert_calculus(group).cup_coefficient
     rho = group.rs.rho
     minus_rho = neg_weight(rho)
-    shift = {x: group.inverse(x).act(rho) for x in group.elements}
+    shift = group.inverse_images(rho)
     n = group.w0.length
     ones = 0
     for u, v in itertools.product(group.elements, repeat=2):
@@ -161,8 +161,10 @@ def suite_partitions(group: WeylGroup, s: int = 3) -> SuiteResult:
         ):
             brute.add(tup)
     if fast != brute:
-        diff = brute.symmetric_difference(fast)
-        sample = next(iter(diff))
+        # the first differing tuple in W^s product order, which is the
+        # lexicographic order of (length, word) slot by slot
+        sample = min(brute ^ fast,
+                     key=lambda t: [(w.length, w.word) for w in t])
         return SuiteResult(
             "partitions", False, len(brute),
             counterexample={"tuple": _words(sample)},

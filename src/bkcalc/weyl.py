@@ -1,12 +1,14 @@
 """Weyl group enumeration, inversion sets, dot action and regularization.
 
-Elements are identified by their integer action matrix on fundamental-weight
-coordinates; the reduced word (lexicographically minimal) and the inversion
-bitset are caches computed during enumeration.  The inversion convention is
+Elements are identified by their inversion set
 
     Phi_w = { alpha > 0 : w(alpha) < 0 },
 
-i.e. the positive roots sent to negative roots by w acting on the left.
+i.e. the positive roots sent to negative roots by w acting on the left; w is
+determined by Phi_w.  Each element is built once by its group, so equality
+is identity.  The reduced word (lexicographically minimal) is recorded
+during enumeration, together with the right Cayley graph w -> w s_i, along
+which products, inverses and the action on weights are walked.
 """
 
 from __future__ import annotations
@@ -24,35 +26,29 @@ DEFAULT_GROUP_CAP = 10**6
 
 
 class WeylElement:
-    """One Weyl group element with cached word, length and inversions."""
+    """One Weyl group element with its word, length, inversions and right
+    Cayley edges."""
 
-    __slots__ = ("group", "action", "word", "length", "inversions")
+    __slots__ = ("group", "word", "length", "inversions", "right")
 
-    def __init__(self, group, action, word, length, inversions):
+    def __init__(self, group, word, length, inversions):
         self.group = group
-        self.action = action  # rank x rank integer matrix, tuple of row tuples
         self.word = word  # lex-minimal reduced word, 0-based simple indices
         self.length = length
         self.inversions = inversions  # bitmask over positive-root indices
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylElement)
-            and self.group is other.group
-            and self.action == other.action
-        )
-
-    def __hash__(self):
-        return hash(self.action)
+        self.right = [None] * group.rs.rank  # right[i] is w s_i
 
     def __repr__(self):
         return f"<WeylElement {format_word(self)} in {self.group.rs.group_type}>"
 
     def act(self, lam: Weight) -> Weight:
         """Linear action on fundamental-weight coordinates."""
-        if len(lam) != len(self.action):
-            raise RankMismatch(f"weight {lam} for rank {len(self.action)}")
-        return tuple(sum(r * c for r, c in zip(row, lam)) for row in self.action)
+        rs = self.group.rs
+        if len(lam) != rs.rank:
+            raise RankMismatch(f"weight {lam} for rank {rs.rank}")
+        for i in reversed(self.word):
+            lam = rs.simple_reflect(i, lam)
+        return tuple(lam)
 
     def dot(self, lam: Weight) -> Weight:
         """Affine dot action  w . lam = w(lam + rho) - rho."""
@@ -66,39 +62,22 @@ class WeylElement:
         return multiply(self, other)
 
 
-def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 class WeylGroup:
     """Full enumeration of W for one root system.
 
     ``elements`` is sorted by (length, lex word) with the identity first and
     the longest element last.  Immutable after construction; all queries are
-    pure lookups.
+    lookups or walks along the right Cayley graph.
     """
 
     def __init__(self, rs: RootSystem, cap: int = DEFAULT_GROUP_CAP):
         self.rs = rs
-        rank = rs.rank
         n_pos = rs.n_pos
         self.full_mask = (1 << n_pos) - 1
 
-        # s_i as a matrix on fundamental-weight coordinates
-        self._refl = []
-        for i in range(rank):
-            m = [[int(k == j) for j in range(rank)] for k in range(rank)]
-            for k in range(rank):
-                m[k][i] -= rs.cartan[k][i]
-            self._refl.append(tuple(tuple(row) for row in m))
-
         # s_i as a permutation of the positive roots other than alpha_i
         self._root_perm = []
-        for i in range(rank):
+        for i in range(rs.rank):
             perm = [0] * n_pos
             for j, fw in enumerate(rs.positive_roots_fw):
                 if j == i:
@@ -110,49 +89,42 @@ class WeylGroup:
                 perm[j] = rs.fw_index[img]
             self._root_perm.append(tuple(perm))
 
-        elements, inverse_actions = self._enumerate(cap)
-        self.elements: tuple[WeylElement, ...] = elements
-        self._by_action = {w.action: w for w in self.elements}
-        self._inverse = {
-            w: self._by_action[a] for w, a in zip(elements, inverse_actions)
-        }
-        self._by_inversions = {w.inversions: w for w in self.elements}
-        self._by_length: dict[int, list[WeylElement]] = {}
-        for w in self.elements:
-            self._by_length.setdefault(w.length, []).append(w)
+        self._by_inversions: dict[int, WeylElement] = {}
+        self.elements: tuple[WeylElement, ...] = self._enumerate(cap)
         self.identity = self.elements[0]
         self.w0 = self.elements[-1]
         if self.w0.inversions != self.full_mask:
             raise ArithmeticError("the longest element does not invert every "
                                   "positive root")
-        self.simple = tuple(
-            self._by_action[self._refl[i]] for i in range(rank)
-        )
+        self.simple = tuple(self.identity.right)
+        self._by_length: dict[int, list[WeylElement]] = {}
+        self._inverse: dict[WeylElement, WeylElement] = {}
+        for w in self.elements:
+            w.right = tuple(w.right)
+            self._by_length.setdefault(w.length, []).append(w)
+            x = self.identity
+            for i in reversed(w.word):
+                x = x.right[i]
+            self._inverse[w] = x
         self._partition_cache: dict = {}
 
     def _enumerate(self, cap):
-        """The elements in (length, lex word) order, and the action matrix
-        of each element's inverse, from inv(w s_i) = s_i inv(w)."""
+        """The elements in (length, lex word) order, keyed by inversion set
+        in ``_by_inversions``, with both ends of every right Cayley edge
+        linked."""
         rank = self.rs.rank
-        ident_action = tuple(
-            tuple(int(i == j) for j in range(rank)) for i in range(rank)
-        )
-        elements = [WeylElement(self, ident_action, (), 0, 0)]
-        inverse_of = {ident_action: ident_action}
-        level = {ident_action: elements[0]}
-        count = 1
+        level = [WeylElement(self, (), 0, 0)]
+        self._by_inversions[0] = level[0]
+        elements = list(level)
         while level:
-            # candidates are generated in lex order of the new word, so the
-            # first word seen for an action matrix is the lex-minimal one
-            nxt: dict = {}
-            for w in sorted(level.values(), key=lambda e: e.word):
+            # candidates come in lex order of the new word, so the first
+            # word seen for an inversion set is the lex-minimal one
+            nxt = []
+            for w in level:
                 for i in range(rank):
                     if w.inversions >> i & 1:
-                        continue  # descent: w(alpha_i) < 0
-                    a = _matmul(w.action, self._refl[i])
-                    if a in nxt:
-                        continue
-                    inverse_of[a] = _matmul(self._refl[i], inverse_of[w.action])
+                        continue  # descent: w s_i was linked from below
+                    # Phi_{w s_i} = {alpha_i} + s_i Phi_w
                     mask = 1 << i
                     perm = self._root_perm[i]
                     inv = w.inversions
@@ -160,31 +132,46 @@ class WeylGroup:
                         low = inv & -inv
                         mask |= 1 << perm[low.bit_length() - 1]
                         inv ^= low
-                    nxt[a] = WeylElement(self, a, w.word + (i,), w.length + 1, mask)
-            count += len(nxt)
-            if count > cap:
+                    x = self._by_inversions.get(mask)
+                    if x is None:
+                        x = WeylElement(self, w.word + (i,), w.length + 1, mask)
+                        self._by_inversions[mask] = x
+                        nxt.append(x)
+                    w.right[i] = x
+                    x.right[i] = w
+            elements.extend(nxt)
+            if len(elements) > cap:
                 raise GroupTooLarge(
                     f"|W| exceeds enumeration cap {cap} for {self.rs.group_type}"
                 )
-            batch = sorted(nxt.values(), key=lambda e: e.word)
-            elements.extend(batch)
-            level = {w.action: w for w in batch}
-        return tuple(elements), tuple(inverse_of[w.action] for w in elements)
+            level = nxt
+        return tuple(elements)
 
     # -- lookups ----------------------------------------------------------
 
     def by_length(self, length: int) -> list[WeylElement]:
         return self._by_length.get(length, [])
 
-    def from_action(self, action) -> WeylElement:
-        return self._by_action[action]
-
     def from_inversion_set(self, mask: int) -> WeylElement | None:
         """The unique w with Phi_w = mask, or None if mask is not biconvex."""
         return self._by_inversions.get(mask)
 
     def inverse(self, w: WeylElement) -> WeylElement:
+        if w.group is not self:
+            raise MixedRootSystems(
+                f"element does not belong to {self.rs.group_type}")
         return self._inverse[w]
+
+    def inverse_images(self, lam: Weight) -> dict[WeylElement, Weight]:
+        """u -> u^-1 lam for every u, in ``elements`` order, with one simple
+        reflection per element: (w s_i)^-1 lam = s_i (w^-1 lam)."""
+        self.rs.check_rank(lam)
+        images = {self.identity: tuple(lam)}
+        reflect = self.rs.simple_reflect
+        for u in self.elements[1:]:
+            i = u.word[-1]
+            images[u] = reflect(i, images[u.right[i]])
+        return images
 
     def order(self) -> int:
         return len(self.elements)
@@ -217,8 +204,11 @@ def _same_group(*ws: WeylElement) -> WeylGroup:
 
 
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
-    g = _same_group(u, v)
-    return g.from_action(_matmul(u.action, v.action))
+    """u v, by walking a reduced word of v from u along the right edges."""
+    _same_group(u, v)
+    for i in v.word:
+        u = u.right[i]
+    return u
 
 
 def inverse(w: WeylElement) -> WeylElement:

@@ -20,7 +20,10 @@ from bkcalc import (
 )
 from bkcalc.weyl import WeylGroup
 
-ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "D4": 192, "F4": 1152}
+ORDERS = {
+    "A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "D4": 192,
+    "D5": 1920, "F4": 1152, "E6": 51840,
+}
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +51,26 @@ def test_length_equals_inversion_count(label):
         assert len(w.word) == w.length
 
 
+def _matrix(w):
+    """Test-only: the matrix of w on fundamental-weight coordinates, read
+    column by column from ``w.act`` on the unit vectors."""
+    n = w.group.rs.rank
+    cols = [w.act(tuple(int(i == j) for i in range(n))) for j in range(n)]
+    return tuple(tuple(col[k] for col in cols) for k in range(n))
+
+
+def _matmul(a, b):
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+        for row in a
+    )
+
+
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 def test_determinant_sign(label):
     g = weyl_group(GroupType.parse(label))
     for w in g.elements:
-        assert _det(w.action) == (-1) ** w.length
+        assert _det(_matrix(w)) == (-1) ** w.length
 
 
 def _det(m):
@@ -64,6 +82,22 @@ def _det(m):
         minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
         total += (-1) ** j * m[0][j] * _det(minor)
     return total
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "D4"])
+def test_cayley_graph_agrees_with_matrices(label):
+    """Products and inverses walked along the right Cayley graph agree with
+    the matrices of the action, and the matrices tell the elements apart."""
+    g = weyl_group(GroupType.parse(label))
+    mat = {w: _matrix(w) for w in g.elements}
+    ident = _matrix(g.identity)
+    assert ident == tuple(tuple(int(i == j) for j in range(g.rs.rank))
+                          for i in range(g.rs.rank))
+    assert len(set(mat.values())) == g.order()
+    for u in g.elements:
+        assert _matmul(mat[u], mat[inverse(u)]) == ident
+        for v in g.elements:
+            assert mat[multiply(u, v)] == _matmul(mat[u], mat[v])
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
@@ -110,6 +144,14 @@ def test_mixed_root_systems_rejected(a2):
     b2 = weyl_group(GroupType.parse("B2"))
     with pytest.raises(MixedRootSystems):
         multiply(a2.simple[0], b2.simple[0])
+
+
+def test_inverse_rejects_foreign_elements(a2):
+    g2 = weyl_group(GroupType.parse("G2"))
+    with pytest.raises(MixedRootSystems):
+        a2.inverse(g2.w0)
+    with pytest.raises(MixedRootSystems):
+        a2.inverse(WeylGroup(a2.rs).w0)
 
 
 def test_act_examples(a2):
