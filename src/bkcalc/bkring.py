@@ -110,7 +110,7 @@ def bk_product(u: WeylElement, v: WeylElement) -> CohomClass:
 
 
 def enumerate_partition_tuples(
-    group: WeylGroup, s: int, size_cap: int = DEFAULT_TUPLE_SIZE_CAP
+    group: WeylGroup, s: int
 ) -> tuple[tuple[WeylElement, ...], ...]:
     """All ordered s-tuples whose inversion sets partition Phi+.
 
@@ -121,8 +121,9 @@ def enumerate_partition_tuples(
     """
     if s < 2:
         raise ValueError("tuple size must be at least 2")
-    if s > size_cap:
-        raise GroupTooLarge(f"tuple size {s} exceeds cap {size_cap}")
+    if s > DEFAULT_TUPLE_SIZE_CAP:
+        raise GroupTooLarge(
+            f"tuple size {s} exceeds cap {DEFAULT_TUPLE_SIZE_CAP}")
     key = ("partitions", s)
     if key in group._partition_cache:
         return group._partition_cache[key]
@@ -157,12 +158,10 @@ def right_w0_translates(
 
 
 def enumerate_levi_movable_tuples(
-    group: WeylGroup, s: int = 3, size_cap: int = DEFAULT_TUPLE_SIZE_CAP
+    group: WeylGroup, s: int = 3
 ) -> tuple[tuple[WeylElement, ...], ...]:
     """All ordered s-tuples satisfying the complement-partition condition.
 
     These are exactly the right w0-translates of the partition tuples.
     """
-    return right_w0_translates(
-        group, enumerate_partition_tuples(group, s, size_cap)
-    )
+    return right_w0_translates(group, enumerate_partition_tuples(group, s))

@@ -17,8 +17,9 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import click
 
@@ -46,6 +47,23 @@ EXIT_ORACLE = 4
 EXIT_TOO_LARGE = 5
 
 CONFIG_ENV_VAR = "BKCALC_CONFIG"
+OUTPUT_FORMATS = ("text", "json", "csv")
+
+# every library error a command can meet, by the exit code it maps to
+_EXIT_CODES = {
+    UnsupportedType: EXIT_PARSE,
+    RankMismatch: EXIT_PARSE,
+    ValueError: EXIT_PARSE,
+    OSError: EXIT_PARSE,
+    NonDominantInput: EXIT_DOMAIN,
+    InvalidWitness: EXIT_DOMAIN,
+    OracleOverflow: EXIT_ORACLE,
+    GroupTooLarge: EXIT_TOO_LARGE,
+}
+
+# the strings int() accepts, so bad input is refused before any int() call;
+# int() strips whitespace other than the separators \x1c-\x1f
+_INT = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*")
 
 
 @dataclass
@@ -63,7 +81,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**data)
+        cfg = cls(**data)
+        for f in fields(cls):
+            value, kind = getattr(cfg, f.name), type(f.default)
+            if type(value) is not kind:
+                raise TypeError(f"{f.name} must be {kind.__name__}, "
+                                f"not {type(value).__name__}")
+        if cfg.output_format not in OUTPUT_FORMATS:
+            raise ValueError(f"output_format must be one of "
+                             f"{', '.join(OUTPUT_FORMATS)}, "
+                             f"not {cfg.output_format!r}")
+        return cfg
 
     @classmethod
     def load_default(cls) -> "RunConfig":
@@ -84,7 +112,7 @@ def _load_config() -> RunConfig:
     try:
         return RunConfig.load_default()
     except (OSError, TypeError, ValueError) as exc:
-        # unreadable file, unknown key or non-object JSON, bad JSON
+        # unreadable file, bad JSON, or a key or value RunConfig rejects
         _fail(EXIT_PARSE, f"{CONFIG_ENV_VAR}: {exc}")
 
 
@@ -94,24 +122,14 @@ def _given_or(value, default):
 
 
 def _parse_group(label: str):
-    try:
-        t = GroupType.parse(label)
-        rs = build_root_system(t)
-        return enumerate_weyl(rs)
-    except UnsupportedType as exc:
-        _fail(EXIT_PARSE, str(exc))
-    except GroupTooLarge as exc:
-        _fail(EXIT_TOO_LARGE, str(exc))
+    return enumerate_weyl(build_root_system(GroupType.parse(label)))
 
 
 def _parse_weights(text: str, rank: int):
-    try:
-        weights = tuple(
-            tuple(int(c) for c in part.split(","))
-            for part in text.strip().split(";")
-        )
-    except ValueError:
+    parts = [part.split(",") for part in text.strip().split(";")]
+    if not all(_INT.fullmatch(c) for part in parts for c in part):
         _fail(EXIT_PARSE, f"cannot parse weights {text!r}")
+    weights = tuple(tuple(int(c) for c in part) for part in parts)
     for w in weights:
         if len(w) != rank:
             _fail(EXIT_PARSE, f"weight {w} has length {len(w)}, expected {rank}")
@@ -126,7 +144,18 @@ def _emit(text: str, out: str | None):
         click.echo(text, nl=False)
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        """Run a command; a library error becomes its exit code."""
+        try:
+            return super().invoke(ctx)
+        except tuple(_EXIT_CODES) as exc:
+            code = next(_EXIT_CODES[t] for t in type(exc).__mro__
+                        if t in _EXIT_CODES)
+            _fail(code, str(exc))
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main():
     """Exact tensor-cone classification and the degenerated Schubert product."""
@@ -135,7 +164,7 @@ def main():
 _group_opt = click.option("--group", "group_label", default=None,
                           help="Group type label, e.g. A2, B3, G2.")
 _format_opt = click.option("--format", "fmt", default=None,
-                           type=click.Choice(["text", "json", "csv"]),
+                           type=click.Choice(OUTPUT_FORMATS),
                            help="Output format.")
 _out_opt = click.option("--out", default=None, help="Write output to a file.")
 
@@ -144,7 +173,8 @@ _out_opt = click.option("--out", default=None, help="Write output to a file.")
 @_group_opt
 @click.option("--weights", required=True, help='e.g. "1,0;0,1;1,1"')
 @click.option("-K", "--scaling-depth", "depth", type=int, default=None)
-@click.option("--budget", type=int, default=None, help="Oracle dimension cap.")
+@click.option("--budget", type=int, default=None,
+              help="Dimension cap on the tabulated (smaller) factor.")
 @_format_opt
 @_out_opt
 def cmd_classify(group_label, weights, depth, budget, fmt, out):
@@ -153,17 +183,9 @@ def cmd_classify(group_label, weights, depth, budget, fmt, out):
     group = _parse_group(_given_or(group_label, cfg.group))
     ws = _parse_weights(weights, group.rs.rank)
     oracle_budget = OracleBudget(dim_cap=_given_or(budget, cfg.oracle_dim_cap))
-    try:
-        result = classify_tuple(
-            group, ws, K=_given_or(depth, cfg.scaling_depth),
-            budget=oracle_budget,
-        )
-    except NonDominantInput as exc:
-        _fail(EXIT_DOMAIN, str(exc))
-    except GroupTooLarge as exc:
-        _fail(EXIT_TOO_LARGE, str(exc))
-    except (RankMismatch, ValueError) as exc:
-        _fail(EXIT_PARSE, str(exc))
+    result = classify_tuple(
+        group, ws, K=_given_or(depth, cfg.scaling_depth), budget=oracle_budget,
+    )
 
     payload = {
         "group": str(group.rs.group_type),
@@ -280,12 +302,7 @@ def cmd_enumerate(group_label, s, fmt, out):
     """Ordered tuples of inversion sets partitioning the positive roots."""
     cfg = _load_config()
     group = _parse_group(_given_or(group_label, cfg.group))
-    try:
-        tuples = enumerate_partition_tuples(group, s)
-    except GroupTooLarge as exc:
-        _fail(EXIT_TOO_LARGE, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_PARSE, str(exc))
+    tuples = enumerate_partition_tuples(group, s)
     fmt = _given_or(fmt, cfg.output_format)
     note = "extended beyond the three-factor statements" if s > 3 else ""
     if fmt == "json":
@@ -308,7 +325,8 @@ def cmd_enumerate(group_label, s, fmt, out):
 @main.command("decompose")
 @_group_opt
 @click.option("--weights", required=True, help='Two weights, e.g. "1,1;1,1"')
-@click.option("--budget", type=int, default=None)
+@click.option("--budget", type=int, default=None,
+              help="Dimension cap on the tabulated (smaller) factor.")
 @_format_opt
 @_out_opt
 def cmd_decompose(group_label, weights, budget, fmt, out):
@@ -319,12 +337,7 @@ def cmd_decompose(group_label, weights, budget, fmt, out):
     if len(ws) != 2:
         _fail(EXIT_PARSE, "decompose takes exactly two weights")
     oracle_budget = OracleBudget(dim_cap=_given_or(budget, cfg.oracle_dim_cap))
-    try:
-        dec = decompose(group.rs, ws[0], ws[1], oracle_budget)
-    except NonDominantInput as exc:
-        _fail(EXIT_DOMAIN, str(exc))
-    except OracleOverflow as exc:
-        _fail(EXIT_ORACLE, str(exc))
+    dec = decompose(group.rs, ws[0], ws[1], oracle_budget)
     fmt = _given_or(fmt, cfg.output_format)
     rows = [
         (",".join(map(str, w)), m, weyl_dim(group.rs, w)) for w, m in dec.terms
@@ -359,16 +372,11 @@ def cmd_face(group_label, witness, bound, fmt, out):
     """Sample the minimal regular face attached to a partition witness."""
     cfg = _load_config()
     group = _parse_group(_given_or(group_label, cfg.group))
-    try:
-        parts = witness.split(";")
-        if len(parts) != 3:
-            raise ValueError("witness needs three elements")
-        tup = tuple(parse_word(group, p) for p in parts)
-        sample = face_sample(group, tup, bound)
-    except InvalidWitness as exc:
-        _fail(EXIT_DOMAIN, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_PARSE, str(exc))
+    parts = witness.split(";")
+    if len(parts) != 3:
+        raise ValueError("witness needs three elements")
+    tup = tuple(parse_word(group, p) for p in parts)
+    sample = face_sample(group, tup, bound)
     fmt = _given_or(fmt, cfg.output_format)
     if fmt == "json":
         text = json.dumps(
@@ -403,18 +411,11 @@ def cmd_verify(group_label, suites, weight_bound, scaling_depth, out):
     """Run the exhaustive verification sweeps; exit 0 iff all pass."""
     cfg = _load_config()
     group = _parse_group(_given_or(group_label, cfg.group))
-    try:
-        results = run_suites(
-            group, list(suites),
-            weight_bound=_given_or(weight_bound, cfg.weight_bound),
-            K=_given_or(scaling_depth, cfg.scaling_depth),
-        )
-    except ValueError as exc:
-        _fail(EXIT_PARSE, str(exc))
-    except GroupTooLarge as exc:
-        _fail(EXIT_TOO_LARGE, str(exc))
-    except OracleOverflow as exc:
-        _fail(EXIT_ORACLE, str(exc))
+    results = run_suites(
+        group, list(suites),
+        weight_bound=_given_or(weight_bound, cfg.weight_bound),
+        K=_given_or(scaling_depth, cfg.scaling_depth),
+    )
     lines = []
     failed = False
     for r in results:

@@ -61,18 +61,13 @@ def poly_degree(p: Poly) -> int:
     return max((sum(e) for e in p), default=0)
 
 
-def _require_length_cap(group: WeylGroup, length_cap: int) -> None:
-    if group.w0.length > length_cap:
-        raise GroupTooLarge(
-            f"l(w0) = {group.w0.length} exceeds oracle cap {length_cap}"
-        )
-
-
 class SchubertCalculus:
     """Polynomial Schubert-class representatives for one Weyl group."""
 
-    def __init__(self, group: WeylGroup, length_cap: int = DEFAULT_LENGTH_CAP):
-        _require_length_cap(group, length_cap)
+    def __init__(self, group: WeylGroup):
+        if group.w0.length > DEFAULT_LENGTH_CAP:
+            raise GroupTooLarge(f"l(w0) = {group.w0.length} exceeds oracle "
+                                f"cap {DEFAULT_LENGTH_CAP}")
         self.group = group
         self.rank = group.rs.rank
         self.cartan = group.rs.cartan
@@ -206,13 +201,12 @@ class SchubertCalculus:
 _calc_cache: dict = {}
 
 
-def schubert_calculus(
-    group: WeylGroup, length_cap: int = DEFAULT_LENGTH_CAP
-) -> SchubertCalculus:
-    _require_length_cap(group, length_cap)  # on cache hits too
+def schubert_calculus(group: WeylGroup) -> SchubertCalculus:
+    """The cached calculus of ``group``; one over the length cap is refused
+    when it is built, so it never enters the cache."""
     key = group.rs.group_type
     if key not in _calc_cache:
-        _calc_cache[key] = SchubertCalculus(group, length_cap)
+        _calc_cache[key] = SchubertCalculus(group)
     return _calc_cache[key]
 
 

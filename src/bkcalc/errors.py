@@ -14,7 +14,7 @@ class IndexOutOfRange(BkcalcError):
 
 
 class GroupTooLarge(BkcalcError):
-    """Weyl group (or enumeration request) exceeds the configured cap."""
+    """Weyl group (or enumeration request) exceeds its size cap."""
 
 
 class MixedRootSystems(BkcalcError):

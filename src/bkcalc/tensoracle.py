@@ -18,10 +18,10 @@ from .weyl import borel_weil_bott
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Caps on module size; the oracle refuses rather than approximates."""
+    """Cap on the dimension of each module the oracle tabulates; the oracle
+    refuses, before any work, rather than approximates."""
 
     dim_cap: int = 10**5
-    weight_support_cap: int = 10**6
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -32,15 +32,6 @@ class Decomposition:
     """Multiset of highest weights of an (iterated) tensor product."""
 
     terms: tuple[tuple[Weight, int], ...]  # sorted lexicographically by weight
-
-    def multiplicity(self, lam: Weight) -> int:
-        for w, m in self.terms:
-            if w == lam:
-                return m
-        return 0
-
-    def as_dict(self) -> dict[Weight, int]:
-        return dict(self.terms)
 
 
 def _require_dominant(lam: Weight) -> None:
@@ -77,8 +68,6 @@ def weight_multiplicities(
         )
     key = (rs.group_type, lam)
     if key in _freudenthal_cache:
-        if len(_freudenthal_cache[key]) > budget.weight_support_cap:
-            raise OracleOverflow("weight support exceeds budget cap")
         return _freudenthal_cache[key]
 
     rank = rs.rank
@@ -132,8 +121,6 @@ def weight_multiplicities(
             if m > 0:
                 mults[mu] = m
                 level[mu] = k
-                if len(mults) > budget.weight_support_cap:
-                    raise OracleOverflow("weight support exceeds budget cap")
     if sum(mults.values()) != dim:
         raise ArithmeticError(
             f"multiplicities of V_{lam} sum to {sum(mults.values())}, not {dim}"
@@ -159,10 +146,10 @@ def decompose(
     key = (rs.group_type, lam, mu, budget)
     if key in _decompose_cache:
         return _decompose_cache[key]
-    if weyl_dim(rs, lam) > budget.dim_cap:
-        raise OracleOverflow(f"dim V_{lam} exceeds budget cap {budget.dim_cap}")
-    # iterate over the weights of the smaller factor
-    small, big = (lam, mu) if weyl_dim(rs, lam) <= weyl_dim(rs, mu) else (mu, lam)
+    # iterate over the weights of the smaller factor, the only module
+    # tabulated and so the only one charged to the budget
+    dim_lam, dim_mu = weyl_dim(rs, lam), weyl_dim(rs, mu)
+    small, big = (lam, mu) if dim_lam <= dim_mu else (mu, lam)
     acc: dict[Weight, int] = {}
     for nu, m in weight_multiplicities(rs, small, budget).items():
         reg = borel_weil_bott(rs, add_weights(big, nu))
@@ -179,7 +166,7 @@ def decompose(
     result = Decomposition(tuple(sorted(acc.items())))
     # dimension identity: the decomposition must account for the full space
     total = sum(m * weyl_dim(rs, w) for w, m in result.terms)
-    if total != weyl_dim(rs, lam) * weyl_dim(rs, mu):
+    if total != dim_lam * dim_mu:
         raise ArithmeticError(
             f"V_{lam} x V_{mu} decomposes into dimension {total}"
         )

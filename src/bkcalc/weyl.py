@@ -25,6 +25,16 @@ from .rootsys import (
 DEFAULT_GROUP_CAP = 10**6
 
 
+def weyl_order(rs: RootSystem) -> int:
+    """|W| = prod over alpha > 0 of (ht alpha + 1) / ht alpha, known before
+    any enumeration (Macdonald, Math. Ann. 199, 1972)."""
+    num = den = 1
+    for c in rs.positive_roots:
+        num *= sum(c) + 1
+        den *= sum(c)
+    return num // den
+
+
 class WeylElement:
     """One Weyl group element with its word, length, inversions and right
     Cayley edges."""
@@ -67,10 +77,14 @@ class WeylGroup:
 
     ``elements`` is sorted by (length, lex word) with the identity first and
     the longest element last.  Immutable after construction; all queries are
-    lookups or walks along the right Cayley graph.
+    lookups or walks along the right Cayley graph.  A group with more than
+    ``DEFAULT_GROUP_CAP`` elements is refused before anything is enumerated.
     """
 
-    def __init__(self, rs: RootSystem, cap: int = DEFAULT_GROUP_CAP):
+    def __init__(self, rs: RootSystem):
+        if weyl_order(rs) > DEFAULT_GROUP_CAP:
+            raise GroupTooLarge(f"|W| exceeds enumeration cap "
+                                f"{DEFAULT_GROUP_CAP} for {rs.group_type}")
         self.rs = rs
         n_pos = rs.n_pos
         self.full_mask = (1 << n_pos) - 1
@@ -90,7 +104,7 @@ class WeylGroup:
             self._root_perm.append(tuple(perm))
 
         self._by_inversions: dict[int, WeylElement] = {}
-        self.elements: tuple[WeylElement, ...] = self._enumerate(cap)
+        self.elements: tuple[WeylElement, ...] = self._enumerate()
         self.identity = self.elements[0]
         self.w0 = self.elements[-1]
         if self.w0.inversions != self.full_mask:
@@ -108,7 +122,7 @@ class WeylGroup:
             self._inverse[w] = x
         self._partition_cache: dict = {}
 
-    def _enumerate(self, cap):
+    def _enumerate(self):
         """The elements in (length, lex word) order, keyed by inversion set
         in ``_by_inversions``, with both ends of every right Cayley edge
         linked."""
@@ -140,10 +154,6 @@ class WeylGroup:
                     w.right[i] = x
                     x.right[i] = w
             elements.extend(nxt)
-            if len(elements) > cap:
-                raise GroupTooLarge(
-                    f"|W| exceeds enumeration cap {cap} for {self.rs.group_type}"
-                )
             level = nxt
         return tuple(elements)
 
@@ -180,19 +190,17 @@ class WeylGroup:
 _group_cache: dict[GroupType, WeylGroup] = {}
 
 
-def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> WeylGroup:
-    """Build (or fetch the cached) full enumeration of W."""
+def enumerate_weyl(rs: RootSystem) -> WeylGroup:
+    """Build (or fetch the cached) full enumeration of W.  A group over the
+    cap is refused before it is built, so it never enters the cache."""
     key = rs.group_type
     if key not in _group_cache:
-        _group_cache[key] = WeylGroup(rs, cap)
-    group = _group_cache[key]
-    if group.order() > cap:
-        raise GroupTooLarge(f"|W| exceeds enumeration cap {cap} for {key}")
-    return group
+        _group_cache[key] = WeylGroup(rs)
+    return _group_cache[key]
 
 
-def weyl_group(t: GroupType, cap: int = DEFAULT_GROUP_CAP) -> WeylGroup:
-    return enumerate_weyl(build_root_system(t), cap)
+def weyl_group(t: GroupType) -> WeylGroup:
+    return enumerate_weyl(build_root_system(t))
 
 
 def _same_group(*ws: WeylElement) -> WeylGroup:

@@ -5,7 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from bkcalc import OracleBudget, verify
+from bkcalc import OracleBudget, verify, weyl
 from bkcalc.cli import RunConfig, main
 
 
@@ -58,6 +58,21 @@ def test_classify_json_schema(runner):
 def test_classify_parse_error_exit_2(runner):
     r = run(runner, "classify", "--group", "A2", "--weights", "1,x;0,1;1,1")
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("coord", [
+    "1", " +1\t", "-0", "0_1", "\u0661", "1_", "1__0", "+-1", "1\x1c", "x", "",
+])
+def test_weight_coordinates_parse_as_int_does(runner, coord):
+    try:
+        int(coord)
+        expected = 0
+    except ValueError:
+        expected = 2
+    r = run(runner, "decompose", "--group", "A1", "--weights", f"{coord};0")
+    assert r.exit_code == expected
+    if expected:
+        assert r.output == f"error: cannot parse weights {coord + ';0'!r}\n"
 
 
 def test_classify_non_dominant_exit_3(runner):
@@ -194,6 +209,14 @@ def test_out_file(runner, tmp_path):
     assert "sha256=" in target.read_text()
 
 
+def test_out_file_not_writable_exit_2(runner, tmp_path):
+    target = tmp_path / "absent" / "x.txt"
+    r = run(runner, "enumerate", "--group", "A2", "--out", str(target))
+    assert r.exit_code == 2
+    assert r.output == (
+        f"error: [Errno 2] No such file or directory: '{target}'\n")
+
+
 def test_run_config_round_trip():
     cfg = RunConfig(group="B3", scaling_depth=5, output_format="json")
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
@@ -206,6 +229,17 @@ def test_run_config_env_default(runner, tmp_path, monkeypatch):
     r = run(runner, "enumerate", "--s", "3")  # group taken from the config
     assert r.exit_code == 0
     assert "# count=3" in r.output
+
+
+def test_classify_group_cap_exit_5_before_enumeration(runner, monkeypatch):
+    def no_enumeration(self):
+        raise AssertionError("W was enumerated before the group cap")
+
+    monkeypatch.setattr(weyl.WeylGroup, "_enumerate", no_enumeration)
+    r = run(runner, "classify", "--group", "A9",
+            "--weights", "0,0,0,0,0,0,0,0,0;0,0,0,0,0,0,0,0,0")
+    assert r.exit_code == 5
+    assert r.output == "error: |W| exceeds enumeration cap 1000000 for A9\n"
 
 
 def test_classify_size_cap_exit_5_before_prv_search(runner, monkeypatch):
@@ -244,7 +278,7 @@ def test_verify_oracle_overflow_exit_4(runner, monkeypatch):
     r = run(runner, "verify", "--group", "A2", "--suite", "prv-bound",
             "--weight-bound", "1")
     assert r.exit_code == 4
-    assert "dim V_(0, 1) exceeds budget cap 2" in r.output
+    assert "dim V_(0, 1) = 3 exceeds budget cap 2" in r.output
 
 
 def test_verify_threads_weight_bound_and_depth(runner):
@@ -285,3 +319,19 @@ def test_config_missing_file_exit_2(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("BKCALC_CONFIG", str(tmp_path / "absent.json"))
     r = run(runner, "enumerate", "--s", "3")
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"group": 5}, "group must be str, not int"),
+    ({"scaling_depth": "3"}, "scaling_depth must be int, not str"),
+    ({"scaling_depth": True}, "scaling_depth must be int, not bool"),
+    ({"output_format": "xml"},
+     "output_format must be one of text, json, csv, not 'xml'"),
+])
+def test_config_bad_value_exit_2(runner, tmp_path, monkeypatch, data, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setenv("BKCALC_CONFIG", str(path))
+    r = run(runner, "classify", "--weights", "1,0;0,1;1,1")
+    assert r.exit_code == 2
+    assert r.output == f"error: BKCALC_CONFIG: {message}\n"

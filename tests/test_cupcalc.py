@@ -14,6 +14,7 @@ from bkcalc import (
     schubert_calculus,
     weyl_group,
 )
+from bkcalc import cupcalc
 from bkcalc.cupcalc import SchubertCalculus, poly_degree, poly_mul
 
 
@@ -138,17 +139,22 @@ def test_levi_movable_triples_have_cup_one(label):
         assert calc.cup_coefficient(*tup) == 1
 
 
-def test_length_cap():
-    g = weyl_group(GroupType.parse("B3"))
-    with pytest.raises(GroupTooLarge):
-        SchubertCalculus(g, length_cap=5)
+def test_length_cap(monkeypatch):
+    monkeypatch.setattr(cupcalc, "DEFAULT_LENGTH_CAP", 8)
+    g = weyl_group(GroupType.parse("B3"))  # l(w0) = 9
+    with pytest.raises(GroupTooLarge, match=r"l\(w0\) = 9 exceeds oracle cap 8"):
+        SchubertCalculus(g)
 
 
-def test_length_cap_applies_on_cache_hit():
+def test_length_cap_applies_on_cache_hit(monkeypatch):
+    # a refused calculus never enters the cache, so every call is refused
+    monkeypatch.setattr(cupcalc, "DEFAULT_LENGTH_CAP", 8)
+    monkeypatch.setattr(cupcalc, "_calc_cache", {})
     g = weyl_group(GroupType.parse("B3"))
-    assert schubert_calculus(g).group is g
-    with pytest.raises(GroupTooLarge):
-        schubert_calculus(g, length_cap=5)
+    for _ in range(2):
+        with pytest.raises(GroupTooLarge):
+            schubert_calculus(g)
+    assert cupcalc._calc_cache == {}
 
 
 @pytest.mark.parametrize("label", ["A2", "B2"])

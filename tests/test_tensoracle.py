@@ -69,6 +69,11 @@ def test_decompose_examples(a2):
     assert decompose(a2, (1, 1), (1, 1)).terms == (
         ((0, 0), 1), ((0, 3), 1), ((1, 1), 2), ((2, 2), 1), ((3, 0), 1),
     )
+    # only the smaller factor is tabulated, and so charged, in either order:
+    # dim V_(3,3,3) = 262144 is over the default cap, dim V_(0,0,1) = 8
+    b3 = build_root_system(GroupType.parse("B3"))
+    d = decompose(b3, (3, 3, 3), (0, 0, 1))
+    assert len(d.terms) == 8 and d == decompose(b3, (0, 0, 1), (3, 3, 3))
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
@@ -135,12 +140,6 @@ def test_oracle_overflow_is_typed(a2):
         stable_mult_probe(a2, ((1, 0), (0, 1), (1, 1)), 3, OracleBudget(dim_cap=4))
     # partial results carried on the error: k = 1 fits in the budget
     assert exc.value.partial == [(1, 1)]
-
-
-def test_weight_support_cap_applies_on_cache_hit(a2):
-    assert len(weight_multiplicities(a2, (2, 2))) == 19
-    with pytest.raises(OracleOverflow):
-        weight_multiplicities(a2, (2, 2), OracleBudget(weight_support_cap=3))
 
 
 _PLANTED = textwrap.dedent("""

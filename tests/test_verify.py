@@ -48,7 +48,7 @@ def test_equivalence_overflow_still_checks_computed_dims(a2, monkeypatch):
 
 def test_g2_overflowed_tuple_is_cohomological_with_unit_dims():
     g2 = weyl_group(GroupType.parse("G2"))
-    c = classify(g2, ((2, 2), (0, 0), (2, 2)), K=3)
+    c = classify(g2, ((2, 2), (2, 2), (0, 0)), K=3)
     assert c.oracle_overflow and c.cohomological
     assert [d for _, d in c.oracle_mults] == [1, 1]
 

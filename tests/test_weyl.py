@@ -18,7 +18,7 @@ from bkcalc import (
     weight_star,
     weyl_group,
 )
-from bkcalc.weyl import WeylGroup
+from bkcalc.weyl import WeylGroup, _group_cache, weyl_order
 
 ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "D4": 192,
@@ -33,7 +33,9 @@ def a2():
 
 @pytest.mark.parametrize("label,order", sorted(ORDERS.items()))
 def test_group_orders(label, order):
-    assert weyl_group(GroupType.parse(label)).order() == order
+    g = weyl_group(GroupType.parse(label))
+    assert g.order() == order
+    assert weyl_order(g.rs) == order  # the height formula, before enumeration
 
 
 def test_identity_first_and_w0_last(a2):
@@ -293,15 +295,23 @@ def test_from_inversion_set_examples(a2):
 
 
 def test_group_too_large_cap():
-    rs = build_root_system(GroupType.parse("A2"))
-    with pytest.raises(GroupTooLarge):
-        WeylGroup(rs, cap=4)
+    rs = build_root_system(GroupType.parse("A9"))  # |W| = 10! > 10**6
+    assert weyl_order(rs) == 3628800
+    with pytest.raises(GroupTooLarge,
+                       match="exceeds enumeration cap 1000000 for A9"):
+        WeylGroup(rs)
 
 
-def test_group_cap_applies_on_cache_hit():
-    assert weyl_group(GroupType.parse("B3")).order() == 48
-    with pytest.raises(GroupTooLarge):
-        weyl_group(GroupType.parse("B3"), cap=10)
+def test_group_cap_applies_on_cache_hit(monkeypatch):
+    # refused before enumeration, and never cached, so each call raises
+    def no_enumeration(self):
+        raise AssertionError("W was enumerated before the group cap")
+
+    monkeypatch.setattr(WeylGroup, "_enumerate", no_enumeration)
+    for _ in range(2):
+        with pytest.raises(GroupTooLarge):
+            weyl_group(GroupType.parse("A9"))
+    assert GroupType.parse("A9") not in _group_cache
 
 
 def test_word_format_round_trip(a2):
