@@ -38,7 +38,6 @@ from .cupcalc import (
 from .errors import (
     BkcalcError,
     GroupTooLarge,
-    IndexOutOfRange,
     InvalidWitness,
     MixedRootSystems,
     NonDominantInput,

@@ -14,12 +14,13 @@ import itertools
 from dataclasses import dataclass, field
 
 from .bkring import enumerate_partition_tuples, right_w0_translates
-from .errors import InvalidWitness, NonDominantInput, OracleOverflow
+from .errors import GroupTooLarge, InvalidWitness, NonDominantInput, OracleOverflow
 from .rootsys import Weight, add_weights, is_dominant, neg_weight
 from .tensoracle import DEFAULT_BUDGET, OracleBudget, stable_mult_probe
 from .weyl import WeylElement, WeylGroup
 
 DEFAULT_SCALING_DEPTH = 3
+DEFAULT_FACE_PAIR_CAP = 10**5  # weight pairs a face sample may walk
 
 
 @dataclass(frozen=True)
@@ -231,9 +232,15 @@ def face_sample(
     to ``bound``; the third is forced by the zero-sum condition and kept
     when dominant.  The rank of the lattice spanned by the samples is at
     most twice the group rank, with equality for a large enough bound.
+    A grid of more than ``DEFAULT_FACE_PAIR_CAP`` pairs is refused before
+    it is walked.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
+    pairs = (bound + 1) ** (2 * group.rs.rank)
+    if pairs > DEFAULT_FACE_PAIR_CAP:
+        raise GroupTooLarge(f"face grid of {pairs} weight pairs exceeds cap "
+                            f"{DEFAULT_FACE_PAIR_CAP}")
     u, v, w = witness
     group_full = group.full_mask
     if (

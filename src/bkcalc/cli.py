@@ -46,6 +46,8 @@ EXIT_DOMAIN = 3
 EXIT_ORACLE = 4
 EXIT_TOO_LARGE = 5
 
+BK_TABLE_ROW_CAP = 2 * 10**6  # rows bk-table may build
+
 CONFIG_ENV_VAR = "BKCALC_CONFIG"
 OUTPUT_FORMATS = ("text", "json", "csv")
 
@@ -259,6 +261,13 @@ def cmd_bk_table(group_label, fmt, out):
     cfg = _load_config()
     group = _parse_group(_given_or(group_label, cfg.group))
     n = group.w0.length
+    # one row per (u, v, w) with l(u) + l(v) + l(w) = 2 l(w0)
+    sizes = [len(group.by_length(k)) for k in range(n + 1)]
+    row_count = sum(sizes[a] * sizes[b] * sizes[2 * n - a - b]
+                    for a in range(n + 1) for b in range(n - a, n + 1))
+    if row_count > BK_TABLE_ROW_CAP:
+        raise GroupTooLarge(f"bk-table of {row_count} rows exceeds cap "
+                            f"{BK_TABLE_ROW_CAP}")
     rows = []
     for u in group.elements:
         for v in group.elements:

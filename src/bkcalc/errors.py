@@ -9,10 +9,6 @@ class UnsupportedType(BkcalcError):
     """Group type outside the supported range (bad rank, or E7/E8)."""
 
 
-class IndexOutOfRange(BkcalcError):
-    """Positive-root index outside [0, n_pos)."""
-
-
 class GroupTooLarge(BkcalcError):
     """Weyl group (or enumeration request) exceeds its size cap."""
 

@@ -4,15 +4,21 @@ Weights are integer tuples in the fundamental-weight basis throughout the
 package.  Roots are carried in two coordinate systems at once: simple-root
 coordinates (for positivity and addition) and fundamental-weight coordinates
 (for the linear Weyl action).  Simple roots follow the Bourbaki numbering.
+
+Weights pair with roots in one way only, through the symmetrized form with
+(alpha_i, alpha_i) = 2 d_i: a weight nu pairs with a root alpha = sum c_i
+alpha_i as (nu, alpha) = sum c_i d_i nu_i.  ``RootSystem.root_pairings``
+holds the tuple (c_i d_i) of every positive root; the Weyl dimension and
+the Freudenthal recursion both read it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import IndexOutOfRange, RankMismatch, UnsupportedType
+from .errors import RankMismatch, UnsupportedType
 
 # A weight in fundamental-weight coordinates.
 Weight = tuple[int, ...]
@@ -139,19 +145,21 @@ class RootSystem:
 
     ``positive_roots`` are in simple-root coordinates with the simple roots
     occupying the first ``rank`` slots in index order; the remaining roots
-    are sorted by (height, lexicographic).  ``positive_coroots`` hold the
-    corresponding coroots in simple-coroot coordinates.
+    are sorted by (height, lexicographic).  ``root_pairings`` holds, in the
+    same order, the tuple (c_i d_i) of each root sum c_i alpha_i, so that
+    (nu, alpha) is its dot product with nu.  ``fw_index`` maps the
+    fundamental-weight coordinates of a positive root to its index.
     """
 
     group_type: GroupType
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
     positive_roots_fw: tuple[Weight, ...]
-    positive_coroots: tuple[tuple[int, ...], ...]
+    root_pairings: tuple[tuple[int, ...], ...]
+    fw_index: dict[Weight, int]
     rho: Weight
     n_pos: int
     symmetrizers: tuple[int, ...]
-    _caches: dict = field(default_factory=dict, repr=False)
 
     @property
     def rank(self) -> int:
@@ -170,23 +178,6 @@ class RootSystem:
             )
 
     # -- lookups ----------------------------------------------------------
-
-    @property
-    def fw_index(self) -> dict[Weight, int]:
-        """Map fundamental-weight coordinates of a positive root -> index."""
-        if "fw_index" not in self._caches:
-            self._caches["fw_index"] = {
-                fw: i for i, fw in enumerate(self.positive_roots_fw)
-            }
-        return self._caches["fw_index"]
-
-    def pairing(self, lam: Weight, coroot_index: int) -> int:
-        """<lam, alpha^vee> for the indexed positive coroot."""
-        self.check_rank(lam)
-        if not 0 <= coroot_index < self.n_pos:
-            raise IndexOutOfRange(f"coroot index {coroot_index} not in [0, {self.n_pos})")
-        co = self.positive_coroots[coroot_index]
-        return sum(c * x for c, x in zip(co, lam))
 
     def simple_reflect(self, i: int, lam: Weight) -> Weight:
         """Apply the simple reflection s_i to fundamental-weight coords."""
@@ -216,7 +207,7 @@ def build_root_system(t: GroupType) -> RootSystem:
     r = t.rank
     cartan = cartan_matrix(t)
     sym = _symmetrizers(t)
-    # the tensor oracle pairs weights with roots through the symmetrizers,
+    # weights pair with roots through the symmetrizers (module docstring),
     # so (alpha_i, alpha_j) = sym[i] * cartan[i][j] must be symmetric
     for i, j in itertools.combinations(range(r), 2):
         if sym[i] * cartan[i][j] != sym[j] * cartan[j][i]:
@@ -229,39 +220,29 @@ def build_root_system(t: GroupType) -> RootSystem:
         out[i] -= pair
         return tuple(out)
 
-    def reflect_coroot(i, d):
-        pair = sum(d[m] * cartan[m][i] for m in range(r))
-        out = list(d)
-        out[i] -= pair
-        return tuple(out)
-
-    # orbit of the simple (co)roots under all simple reflections
+    # orbit of the simple roots under all simple reflections
     simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    coroot_of = {simple[i]: simple[i] for i in range(r)}
-    frontier = list(simple)
+    roots = set(simple)
+    frontier = simple
     while frontier:
         nxt = []
         for c in frontier:
-            d = coroot_of[c]
             for i in range(r):
                 c2 = reflect_root(i, c)
-                d2 = reflect_coroot(i, d)
-                if c2 not in coroot_of:
-                    coroot_of[c2] = d2
+                if c2 not in roots:
+                    roots.add(c2)
                     nxt.append(c2)
-                elif coroot_of[c2] != d2:
-                    raise ArithmeticError(f"{t}: inconsistent coroot orbit")
         frontier = nxt
 
-    positive = [c for c in coroot_of if all(x >= 0 for x in c)]
+    positive = [c for c in roots if all(x >= 0 for x in c)]
     rest = sorted(
         (c for c in positive if sum(c) > 1), key=lambda c: (sum(c), c)
     )
     ordered = simple + rest
     expected = _N_POS[t.series](r)
-    if len(ordered) != expected or 2 * len(ordered) != len(coroot_of):
+    if len(ordered) != expected or 2 * len(ordered) != len(roots):
         raise ArithmeticError(f"{t}: {len(ordered)} positive roots of "
-                              f"{len(coroot_of)}, expected {expected}")
+                              f"{len(roots)}, expected {expected}")
 
     fw = tuple(
         tuple(sum(cartan[k][j] * c[j] for j in range(r)) for k in range(r))
@@ -272,7 +253,10 @@ def build_root_system(t: GroupType) -> RootSystem:
         cartan=cartan,
         positive_roots=tuple(ordered),
         positive_roots_fw=fw,
-        positive_coroots=tuple(coroot_of[c] for c in ordered),
+        root_pairings=tuple(
+            tuple(ci * di for ci, di in zip(c, sym)) for c in ordered
+        ),
+        fw_index={a: k for k, a in enumerate(fw)},
         rho=(1,) * r,
         n_pos=len(ordered),
         symmetrizers=sym,

@@ -43,9 +43,11 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible module, by the Weyl formula."""
     rs.check_rank(lam)
     _require_dominant(lam)
-    lam_rho = add_weights(lam, rs.rho)
-    num = math.prod(rs.pairing(lam_rho, i) for i in range(rs.n_pos))
-    den = math.prod(rs.pairing(rs.rho, i) for i in range(rs.n_pos))
+    # prod over alpha > 0 of (lam + rho, alpha) / (rho, alpha)
+    num, den = (
+        math.prod(sum(c * x for c, x in zip(cd, nu)) for cd in rs.root_pairings)
+        for nu in (add_weights(lam, rs.rho), rs.rho)
+    )
     q, r = divmod(num, den)
     if r:
         raise ArithmeticError(f"Weyl dimension of {lam} is {num}/{den}")
@@ -71,32 +73,27 @@ def weight_multiplicities(
         return _freudenthal_cache[key]
 
     rank = rs.rank
-    d = rs.symmetrizers
-    # With (alpha_i, alpha_i) = 2 d_i, a weight nu in fundamental-weight
-    # coordinates pairs with alpha = sum c_i alpha_i as sum c_i d_i nu_i.
-    roots = []
-    for c, alpha in zip(rs.positive_roots, rs.positive_roots_fw):
-        cd = tuple(ci * di for ci, di in zip(c, d))
-        roots.append((alpha, cd, sum(x * a for x, a in zip(cd, alpha))))
-    simple_fw = rs.positive_roots_fw[:rank]
+    # each positive root with its pairing tuple and (alpha, alpha)
+    roots = [
+        (alpha, cd, sum(x * a for x, a in zip(cd, alpha)))
+        for alpha, cd in zip(rs.positive_roots_fw, rs.root_pairings)
+    ]
+    simple = roots[:rank]
 
     mults: dict[Weight, int] = {lam: 1}
-    # each weight of a level carries k with lam - mu = sum k_i alpha_i
+    # each weight mu of a level carries the pairing tuple of lam - mu
     level = {lam: (0,) * rank}
     while level:
         candidates: dict[Weight, tuple[int, ...]] = {}
         for mu, k in level.items():
-            for i, a in enumerate(simple_fw):
+            for a, cd, _ in simple:
                 nu = tuple(m - x for m, x in zip(mu, a))
-                candidates[nu] = k[:i] + (k[i] + 1,) + k[i + 1:]
+                candidates[nu] = add_weights(k, cd)
         level = {}
         for mu in sorted(candidates):
             # |lam + rho|^2 - |mu + rho|^2 = (lam - mu, lam + mu + 2 rho)
             k = candidates[mu]
-            denom = sum(
-                ki * di * (li + mi + 2)
-                for ki, di, li, mi in zip(k, d, lam, mu)
-            )
+            denom = sum(ki * (li + mi + 2) for ki, li, mi in zip(k, lam, mu))
             if denom == 0:
                 continue
             total = 0

@@ -5,7 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from bkcalc import OracleBudget, verify, weyl
+from bkcalc import OracleBudget, cli, verify, weyl
 from bkcalc.cli import RunConfig, main
 
 
@@ -251,6 +251,30 @@ def test_classify_size_cap_exit_5_before_prv_search(runner, monkeypatch):
             "--weights", "1,0;0,1;1,1;1,0;0,1;1,0;0,1")
     assert r.exit_code == 5
     assert "exceeds cap 6" in r.output
+
+
+def test_bk_table_row_cap_exit_5_before_any_row(runner, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was built before the row cap")
+
+    monkeypatch.setattr(cli, "BK_TABLE_ROW_CAP", 34)
+    monkeypatch.setattr(cli, "bk_coefficient", no_rows)
+    r = run(runner, "bk-table", "--group", "A2")
+    assert r.exit_code == 5
+    assert r.output == "error: bk-table of 35 rows exceeds cap 34\n"
+
+
+def test_face_pair_cap_exit_5_before_the_grid(runner, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("the grid was walked before the pair cap")
+
+    classify = sys.modules["bkcalc.classify"]
+    monkeypatch.setattr(classify, "DEFAULT_FACE_PAIR_CAP", 80)
+    monkeypatch.setattr(classify, "add_weights", no_grid)
+    r = run(runner, "face", "--group", "A2", "--witness", "e;e;1.2.1",
+            "--bound", "2")
+    assert r.exit_code == 5
+    assert r.output == "error: face grid of 81 weight pairs exceeds cap 80\n"
 
 
 def test_classify_zero_depth_exit_2(runner):

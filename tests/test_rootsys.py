@@ -2,7 +2,6 @@ import pytest
 
 from bkcalc import (
     GroupType,
-    IndexOutOfRange,
     UnsupportedType,
     build_root_system,
     weight_multiplicities,
@@ -41,7 +40,9 @@ def test_simple_roots_first(label):
         assert rs.positive_roots[i] == tuple(
             int(i == j) for j in range(rs.rank)
         )
-        assert rs.positive_coroots[i] == rs.positive_roots[i]
+        assert rs.root_pairings[i] == tuple(
+            rs.symmetrizers[i] * int(i == j) for j in range(rs.rank)
+        )
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
@@ -73,11 +74,17 @@ def test_root_addition_closure(label):
     assert sums >= 2 * (rs.n_pos - rs.rank)
 
 
+def pair(rs, lam, k):
+    return sum(c * x for c, x in zip(rs.root_pairings[k], lam))
+
+
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_rho_pairs_to_one_with_simple_coroots(label):
+    """<rho, alpha_i^vee> = (rho, alpha_i) / d_i = 1, with d_i half the
+    squared length of alpha_i."""
     rs = rs_of(label)
     for i in range(rs.rank):
-        assert rs.pairing(rs.rho, i) == 1
+        assert pair(rs, rs.rho, i) == rs.symmetrizers[i]
 
 
 def test_a1_roots():
@@ -94,16 +101,11 @@ def test_a2_simple_root_in_fw_coords():
 
 def test_pairing_examples():
     rs = rs_of("A2")
-    assert rs.pairing((1, 1), 0) == 1
-    # highest root: its coroot is the sum of the two simple coroots
-    assert rs.pairing((1, 0), 2) == 1
-    assert rs.pairing((0, 0), 2) == 0
-
-
-def test_pairing_index_out_of_range():
-    rs = rs_of("A2")
-    with pytest.raises(IndexOutOfRange):
-        rs.pairing((1, 0), 3)
+    assert pair(rs, (1, 1), 0) == 1
+    # highest root alpha_1 + alpha_2: each fundamental weight pairs to 1
+    assert rs.root_pairings[2] == (1, 1)
+    assert pair(rs, (1, 0), 2) == 1
+    assert pair(rs, (0, 0), 2) == 0
 
 
 def test_parse_round_trip():

@@ -27,13 +27,37 @@ def a2():
     return build_root_system(GroupType.parse("A2"))
 
 
+# dim V_{omega_i} for i = 1..rank, Bourbaki numbering (Bourbaki, Lie
+# Groups and Lie Algebras, ch. VI, plates I-IX)
+FUNDAMENTAL_DIMS = {
+    "B3": (7, 21, 8),  # 8: the spin module
+    "C3": (6, 14, 14),
+    "D4": (8, 28, 8, 8),
+    "G2": (7, 14),
+    "F4": (52, 1274, 273, 26),
+    "E6": (27, 78, 351, 2925, 351, 27),
+}
+
+
 def test_weyl_dim_examples(a2):
     assert weyl_dim(a2, (0, 0)) == 1
     assert weyl_dim(a2, (1, 0)) == 3
     assert weyl_dim(a2, (1, 1)) == 8
-    b3 = build_root_system(GroupType.parse("B3"))
-    assert weyl_dim(b3, (1, 0, 0)) == 7
-    assert weyl_dim(b3, (0, 0, 1)) == 8  # spin module
+    for label, dims in FUNDAMENTAL_DIMS.items():
+        rs = build_root_system(GroupType.parse(label))
+        omegas = [tuple(int(i == j) for j in range(rs.rank))
+                  for i in range(rs.rank)]
+        assert tuple(weyl_dim(rs, w) for w in omegas) == dims, label
+
+
+@pytest.mark.parametrize("label", [
+    "A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "E6",
+])
+def test_weyl_dim_of_rho_is_two_to_the_positive_roots(label):
+    """dim V_rho = 2^|Phi+|: each factor (2 rho, alpha) / (rho, alpha) of
+    Weyl's formula is 2 (Humphreys, GTM 9, section 24.3)."""
+    rs = build_root_system(GroupType.parse(label))
+    assert weyl_dim(rs, rs.rho) == 2 ** rs.n_pos
 
 
 def test_weyl_dim_rejects_non_dominant(a2):
@@ -163,7 +187,8 @@ _PLANTED = textwrap.dedent("""
     expect_arithmetic_error("cartan symmetry",
                             lambda: rootsys.build_root_system.__wrapped__(b2))
     rootsys._symmetrizers = real
-    flat = dataclasses.replace(rs, symmetrizers=(1, 1))
+    # pair every root as if all of them had the same length
+    flat = dataclasses.replace(rs, root_pairings=rs.positive_roots)
     expect_arithmetic_error("freudenthal quotient",
                             lambda: tensoracle.weight_multiplicities(flat, (1, 0)))
     tensoracle.weyl_dim = lambda rs, lam: 6
