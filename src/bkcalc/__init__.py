@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .bkring import (
     CohomClass,
     bk_coefficient,
+    bk_partner,
     bk_product,
     enumerate_levi_movable_tuples,
     enumerate_partition_tuples,

@@ -93,19 +93,31 @@ def bk_coefficient(u: WeylElement, v: WeylElement, w: WeylElement) -> int:
     return 1 if is_levi_movable((u, v, w)) else 0
 
 
+def bk_partner(u: WeylElement, v: WeylElement) -> WeylElement | None:
+    """The only w with bk_coefficient(u, v, w) = 1, or None.
+
+    The complement of Phi_w must be the rest of Phi+ once the complements
+    of Phi_u and Phi_v are taken, so Phi_w is their union, and they must be
+    disjoint; that is one lookup, not a pass over the w of each length.
+    """
+    group = _same_group(u, v)
+    full = group.full_mask
+    comp_u, comp_v = full ^ u.inversions, full ^ v.inversions
+    if comp_u & comp_v:
+        return None
+    return group.from_inversion_set(comp_u | comp_v)
+
+
 def poincare_dual(w: WeylElement) -> WeylElement:
     return multiply(w.group.w0, w)
 
 
 def bk_product(u: WeylElement, v: WeylElement) -> CohomClass:
     """sigma_u o sigma_v in the Schubert basis (dimension-indexed classes)."""
-    group = _same_group(u, v)
-    out = CohomClass.zero(group)
-    # only w with l(u) + l(v) + l(w) = 2 l(w0) can carry a coefficient
-    target = 2 * group.w0.length - u.length - v.length
-    for w in group.by_length(target):
-        if bk_coefficient(u, v, w):
-            out.add_term(poincare_dual(w), 1)
+    out = CohomClass.zero(_same_group(u, v))
+    w = bk_partner(u, v)
+    if w is not None:
+        out.add_term(poincare_dual(w), 1)
     return out
 
 

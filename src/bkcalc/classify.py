@@ -253,10 +253,13 @@ def face_sample(
     rs = group.rs
     u_inv, v_inv, w_inv = group.inverse(u), group.inverse(v), group.inverse(w)
     triples = []
-    grid = itertools.product(range(bound + 1), repeat=rs.rank)
-    for lam in grid:
-        for mu in itertools.product(range(bound + 1), repeat=rs.rank):
-            partial = add_weights(u_inv.act(lam), v_inv.act(mu))
+    box = list(itertools.product(range(bound + 1), repeat=rs.rank))
+    # each action depends on one weight only, so it is taken once per weight
+    u_images = [u_inv.act(lam) for lam in box]
+    v_images = [v_inv.act(mu) for mu in box]
+    for lam, u_lam in zip(box, u_images):
+        for mu, v_mu in zip(box, v_images):
+            partial = add_weights(u_lam, v_mu)
             nu = neg_weight(w.act(partial))
             if is_dominant(nu):
                 # exact zero-sum identity by construction

@@ -8,6 +8,15 @@ Wire formats:
 
 Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 domain error,
 4 oracle budget exceeded, 5 size cap exceeded.
+
+Every command writes through one writer, :func:`_emit`.  It takes the output
+as a stream of string chunks and writes them in batches, after the command's
+caps and computation have passed.  The bytes are those of building the whole
+text first: JSON is exactly ``json.dumps(payload, indent=2, sort_keys=True)
++ "\\n"`` (see :func:`_json`), CSV is what ``csv.writer`` writes, and text
+is one line per row.  The outputs that grow with |W|^k (the ``bk-table``
+rows, the ``classify`` witnesses and the ``enumerate`` tuples) are
+formatted row by row as they are written, so no command holds them as text.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import asdict, dataclass, fields
 import click
 
 from . import __version__
-from .bkring import bk_coefficient, enumerate_partition_tuples
+from .bkring import bk_partner, enumerate_partition_tuples
 from .classify import classify as classify_tuple
 from .classify import face_sample
 from .errors import (
@@ -47,6 +56,7 @@ EXIT_ORACLE = 4
 EXIT_TOO_LARGE = 5
 
 BK_TABLE_ROW_CAP = 2 * 10**6  # rows bk-table may build
+_BATCH = 1 << 16  # characters per write
 
 CONFIG_ENV_VAR = "BKCALC_CONFIG"
 OUTPUT_FORMATS = ("text", "json", "csv")
@@ -138,12 +148,84 @@ def _parse_weights(text: str, rank: int):
     return weights
 
 
-def _emit(text: str, out: str | None):
+def _emit(chunks, out: str | None):
+    """Write the chunks in batches to the file ``out``, or to stdout.
+
+    Called once the command's caps and computation have passed, so a refused
+    run creates no file; the chunks themselves only format."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            _write(chunks, fh)
     else:
-        click.echo(text, nl=False)
+        # the stream that click.echo writes to and CliRunner captures
+        stream = click.get_text_stream("stdout", errors=None)
+        _write(chunks, stream)
+        stream.flush()
+
+
+def _write(chunks, fh):
+    batch, size = [], 0
+    for chunk in chunks:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _BATCH:
+            fh.write("".join(batch))
+            batch, size = [], 0
+    fh.write("".join(batch))
+
+
+class _Rows:
+    """A list of flat rows in a JSON payload, which :func:`_json` writes row
+    by row.  Each row is a sequence of JSON scalars, already encoded."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+
+class _Quoted(dict):
+    """Weyl element -> its word as a JSON string, built on first use.  A
+    word is digits and dots, or "e", so quoting it needs no escapes."""
+
+    def __missing__(self, w):
+        text = self[w] = f'"{format_word(w)}"'
+        return text
+
+
+def _word_rows(tuples) -> _Rows:
+    """Tuples of Weyl elements as JSON rows of their words."""
+    quoted = _Quoted()
+    return _Rows([quoted[w] for w in t] for t in tuples)
+
+
+def _json(payload):
+    """The chunks of ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.
+
+    json.dumps writes the envelope with a marker string in place of each
+    :class:`_Rows` value.  The rows are then written where the marker was,
+    laid out as json.dumps lays out a list of lists, or as ``[]``.
+    """
+    streams = []
+
+    def mark(value: _Rows):
+        streams.append(value.rows)
+        return f"\0{len(streams) - 1}"
+
+    text = json.dumps(payload, indent=2, sort_keys=True, default=mark) + "\n"
+    parts = re.split(r'"\\u0000(\d+)"', text)
+    yield parts[0]
+    for k in range(1, len(parts), 2):
+        key_line = parts[k - 1].rpartition("\n")[2]
+        pad = " " * (len(key_line) - len(key_line.lstrip(" ")))
+        head, sep = f"\n{pad}  [\n{pad}    ", f",\n{pad}    "
+        tail = f"\n{pad}  ]"
+        lead = "["
+        for row in streams[int(parts[k])]:
+            yield lead + head + sep.join(row) + tail
+            lead = ","
+        yield "[]" if lead == "[" else f"\n{pad}]"
+        yield parts[k + 1]
 
 
 class _Main(click.Group):
@@ -189,6 +271,11 @@ def cmd_classify(group_label, weights, depth, budget, fmt, out):
         group, ws, K=_given_or(depth, cfg.scaling_depth), budget=oracle_budget,
     )
 
+    witnesses = {
+        "prv": result.prv_witnesses,
+        "cohomological": result.coh_witnesses,
+        "regularly_extremal": result.reg_witnesses,
+    }
     payload = {
         "group": str(group.rs.group_type),
         "weights": [list(w) for w in result.weights],
@@ -196,13 +283,7 @@ def cmd_classify(group_label, weights, depth, budget, fmt, out):
         "cohomological": result.cohomological,
         "regularly_extremal": result.regularly_extremal,
         "witnesses": {
-            "prv": [[format_word(w) for w in t] for t in result.prv_witnesses],
-            "cohomological": [
-                [format_word(w) for w in t] for t in result.coh_witnesses
-            ],
-            "regularly_extremal": [
-                [format_word(w) for w in t] for t in result.reg_witnesses
-            ],
+            kind: _word_rows(tuples) for kind, tuples in witnesses.items()
         },
         "stable_mult_one": {
             "status": result.stable_mult_one.kind,
@@ -219,7 +300,7 @@ def cmd_classify(group_label, weights, depth, budget, fmt, out):
 
     fmt = _given_or(fmt, cfg.output_format)
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        chunks = _json(payload)
     elif fmt == "csv":
         buf = io.StringIO()
         wr = csv.writer(buf)
@@ -229,27 +310,30 @@ def cmd_classify(group_label, weights, depth, budget, fmt, out):
             wr.writerow([k, json.dumps(payload[k])])
         wr.writerow(["stable_mult_one", payload["stable_mult_one"]["status"]])
         wr.writerow(["oracle_mults", json.dumps(payload["oracle_mults"])])
-        text = buf.getvalue()
+        chunks = [buf.getvalue()]
     else:
-        lines = [
-            f"group: {payload['group']}",
-            f"weights: {weights}",
-            f"prv: {str(result.prv).lower()}",
-            f"cohomological: {str(result.cohomological).lower()}",
-            f"regularly_extremal: {str(result.regularly_extremal).lower()}",
-            f"stable_mult_one: {result.stable_mult_one.kind}"
-            f" ({result.stable_mult_one.provenance})",
-            f"oracle_mults: {payload['oracle_mults']}",
-        ]
-        for kind in ("prv", "cohomological", "regularly_extremal"):
-            for t in payload["witnesses"][kind]:
-                lines.append(f"witness[{kind}]: {','.join(t)}")
-        if result.oracle_overflow:
-            lines.append("oracle_overflow: true")
-        text = "\n".join(lines) + "\n"
-    _emit(text, out)
+        chunks = _classify_text(payload, weights, result, witnesses)
+    _emit(chunks, out)
     if result.oracle_overflow:
         sys.exit(EXIT_ORACLE)
+
+
+def _classify_text(payload, weights, result, witnesses):
+    yield "\n".join([
+        f"group: {payload['group']}",
+        f"weights: {weights}",
+        f"prv: {str(result.prv).lower()}",
+        f"cohomological: {str(result.cohomological).lower()}",
+        f"regularly_extremal: {str(result.regularly_extremal).lower()}",
+        f"stable_mult_one: {result.stable_mult_one.kind}"
+        f" ({result.stable_mult_one.provenance})",
+        f"oracle_mults: {payload['oracle_mults']}",
+    ]) + "\n"
+    for kind, tuples in witnesses.items():
+        for t in tuples:
+            yield f"witness[{kind}]: {','.join(map(format_word, t))}\n"
+    if result.oracle_overflow:
+        yield "oracle_overflow: true\n"
 
 
 @main.command("bk-table")
@@ -268,38 +352,59 @@ def cmd_bk_table(group_label, fmt, out):
     if row_count > BK_TABLE_ROW_CAP:
         raise GroupTooLarge(f"bk-table of {row_count} rows exceeds cap "
                             f"{BK_TABLE_ROW_CAP}")
-    rows = []
+    # csv.writer's bytes: no word needs quoting, and rows end in \r\n
+    header = "u,v,w,coefficient\r\n"
+    row_end = ({w: f"{format_word(w)},0\r\n" for w in group.elements},
+               {w: f"{format_word(w)},1\r\n" for w in group.elements})
+
+    def csv_block(u, v, ws, partner):
+        """The CSV rows of one (u, v); row_end[c][w] ends the row of w with
+        coefficient c."""
+        head = f"{format_word(u)},{format_word(v)},"
+        return "".join([head + row_end[w is partner][w] for w in ws])
+
+    # pass 1: the digest and the nonzero count, which lead the sorted JSON
+    sha = hashlib.sha256(header.encode())
+    nonzero = 0
+    for block in _bk_blocks(group):
+        nonzero += block[3] is not None
+        sha.update(csv_block(*block).encode())
+    digest = sha.hexdigest()
+
+    # pass 2: the rows, formatted as they are written
+    blocks = _bk_blocks(group)
+    fmt = _given_or(fmt, cfg.output_format)
+    if fmt == "json":
+        quoted = _Quoted()
+        rows = ((quoted[u], quoted[v], quoted[w], "1" if w is partner else "0")
+                for u, v, ws, partner in blocks for w in ws)
+        chunks = _json({
+            "group": str(group.rs.group_type),
+            "rows": _Rows(rows),
+            "row_count": row_count,
+            "nonzero_count": nonzero,
+            "digest": digest,
+        })
+    else:
+        def table():
+            yield header
+            for block in blocks:
+                yield csv_block(*block)
+            yield f"# rows={row_count} nonzero={nonzero} sha256={digest}\n"
+        chunks = table()
+    _emit(chunks, out)
+
+
+def _bk_blocks(group):
+    """(u, v, ws, partner) for each (u, v) in table order: ws are the w with
+    l(u) + l(v) + l(w) = 2 l(w0), one row each, and partner is the only w
+    with coefficient 1, or None."""
+    n = group.w0.length
     for u in group.elements:
         for v in group.elements:
-            target = 2 * n - u.length - v.length
-            for w in group.by_length(target):
-                rows.append(
-                    (format_word(u), format_word(v), format_word(w),
-                     bk_coefficient(u, v, w))
-                )
-    buf = io.StringIO()
-    wr = csv.writer(buf)
-    wr.writerow(["u", "v", "w", "coefficient"])
-    wr.writerows(rows)
-    table = buf.getvalue()
-    digest = hashlib.sha256(table.encode()).hexdigest()
-
-    fmt = _given_or(fmt, cfg.output_format)
-    nonzero = sum(1 for r in rows if r[3])
-    if fmt == "json":
-        text = json.dumps(
-            {
-                "group": str(group.rs.group_type),
-                "rows": [list(r) for r in rows],
-                "row_count": len(rows),
-                "nonzero_count": nonzero,
-                "digest": digest,
-            },
-            indent=2, sort_keys=True,
-        ) + "\n"
-    else:
-        text = table + f"# rows={len(rows)} nonzero={nonzero} sha256={digest}\n"
-    _emit(text, out)
+            ws = group.by_length(2 * n - u.length - v.length)
+            if ws:
+                yield u, v, ws, bk_partner(u, v)
 
 
 @main.command("enumerate")
@@ -319,16 +424,20 @@ def cmd_enumerate(group_label, s, fmt, out):
             "group": str(group.rs.group_type),
             "s": s,
             "count": len(tuples),
-            "tuples": [[format_word(w) for w in t] for t in tuples],
+            "tuples": _word_rows(tuples),
         }
         if note:
             payload["note"] = note
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        chunks = _json(payload)
     else:
-        lines = [";".join(format_word(w) for w in t) for t in tuples]
-        lines.append(f"# count={len(tuples)}" + (f" note={note}" if note else ""))
-        text = "\n".join(lines) + "\n"
-    _emit(text, out)
+        chunks = _enumerate_text(tuples, note)
+    _emit(chunks, out)
+
+
+def _enumerate_text(tuples, note):
+    for t in tuples:
+        yield ";".join(map(format_word, t)) + "\n"
+    yield f"# count={len(tuples)}" + (f" note={note}" if note else "") + "\n"
 
 
 @main.command("decompose")
@@ -352,23 +461,20 @@ def cmd_decompose(group_label, weights, budget, fmt, out):
         (",".join(map(str, w)), m, weyl_dim(group.rs, w)) for w, m in dec.terms
     ]
     if fmt == "json":
-        text = json.dumps(
-            {
-                "group": str(group.rs.group_type),
-                "weights": [list(w) for w in ws],
-                "terms": [
-                    {"weight": list(w), "multiplicity": m} for w, m in dec.terms
-                ],
-            },
-            indent=2, sort_keys=True,
-        ) + "\n"
+        chunks = _json({
+            "group": str(group.rs.group_type),
+            "weights": [list(w) for w in ws],
+            "terms": [
+                {"weight": list(w), "multiplicity": m} for w, m in dec.terms
+            ],
+        })
     else:
         buf = io.StringIO()
         wr = csv.writer(buf)
         wr.writerow(["weight", "multiplicity", "dim"])
         wr.writerows(rows)
-        text = buf.getvalue()
-    _emit(text, out)
+        chunks = [buf.getvalue()]
+    _emit(chunks, out)
 
 
 @main.command("face")
@@ -388,16 +494,13 @@ def cmd_face(group_label, witness, bound, fmt, out):
     sample = face_sample(group, tup, bound)
     fmt = _given_or(fmt, cfg.output_format)
     if fmt == "json":
-        text = json.dumps(
-            {
-                "group": str(group.rs.group_type),
-                "witness": [format_word(w) for w in tup],
-                "bound": bound,
-                "lattice_rank": sample.lattice_rank,
-                "triples": [[list(w) for w in t] for t in sample.triples],
-            },
-            indent=2, sort_keys=True,
-        ) + "\n"
+        chunks = _json({
+            "group": str(group.rs.group_type),
+            "witness": [format_word(w) for w in tup],
+            "bound": bound,
+            "lattice_rank": sample.lattice_rank,
+            "triples": [[list(w) for w in t] for t in sample.triples],
+        })
     else:
         lines = [
             ";".join(",".join(map(str, w)) for w in t) for t in sample.triples
@@ -405,8 +508,8 @@ def cmd_face(group_label, witness, bound, fmt, out):
         lines.append(
             f"# count={len(sample.triples)} lattice_rank={sample.lattice_rank}"
         )
-        text = "\n".join(lines) + "\n"
-    _emit(text, out)
+        chunks = ["\n".join(lines) + "\n"]
+    _emit(chunks, out)
 
 
 @main.command("verify")
@@ -435,8 +538,7 @@ def cmd_verify(group_label, suites, weight_bound, scaling_depth, out):
             lines.append(
                 "counterexample: " + json.dumps(r.counterexample, sort_keys=True)
             )
-    text = "\n".join(lines) + "\n"
-    _emit(text, out)
+    _emit(["\n".join(lines) + "\n"], out)
     if failed:
         sys.exit(EXIT_VERIFY_FAILED)
 

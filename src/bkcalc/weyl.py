@@ -121,6 +121,7 @@ class WeylGroup:
                 x = x.right[i]
             self._inverse[w] = x
         self._partition_cache: dict = {}
+        self._words: dict[WeylElement, str] = {}  # filled by format_word
 
     def _enumerate(self):
         """The elements in (length, lex word) order, keyed by inversion set
@@ -262,10 +263,15 @@ def borel_weil_bott(rs: RootSystem, chi: Weight):
 
 
 def format_word(w: WeylElement) -> str:
-    """Dot-separated 1-based simple-reflection indices; "e" for identity."""
-    if not w.word:
-        return "e"
-    return ".".join(str(i + 1) for i in w.word)
+    """Dot-separated 1-based simple-reflection indices; "e" for identity.
+
+    Each element's text is built once and kept on its group."""
+    words = w.group._words
+    text = words.get(w)
+    if text is None:
+        text = ".".join(str(i + 1) for i in w.word) if w.word else "e"
+        words[w] = text
+    return text
 
 
 def parse_word(group: WeylGroup, text: str) -> WeylElement:

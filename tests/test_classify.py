@@ -115,35 +115,53 @@ def _witness_order(t):
 
 def _prv_reference(g, weights):
     """Test-only brute force over W^(s-1): the last slot is the first
-    element of W carrying the last weight onto minus the sum of the others."""
-    images = [{u: u.act(lam) for u in g.elements} for lam in weights]
+    element of W carrying the last weight onto minus the sum of the others.
+
+    Each image weight is coded as one integer sum c_i B^i.  With
+    B > 2 s max|c_i| the coordinates of a sum of s images stay below B/2,
+    so two sums share a code only when they are equal, and a sum is one
+    add and one lookup."""
+    images = [[u.act(lam) for u in g.elements] for lam in weights]
+    base = 2 * len(weights) * max(abs(c) for im in images for x in im
+                                  for c in x) + 1
+    codes = [[sum(c * base**i for i, c in enumerate(x)) for x in im]
+             for im in images]
     first = {}
-    for w in g.elements:
-        first.setdefault(images[-1][w], w)
+    for w, c in zip(g.elements, codes[-1]):
+        first.setdefault(-c, w)
+    *outer, inner = [list(zip(g.elements, c)) for c in codes[:-1]]
     out = []
-    for front in itertools.product(g.elements, repeat=len(weights) - 1):
-        total = map(sum, zip(*(im[u] for im, u in zip(images, front))))
-        w_last = first.get(tuple(-c for c in total))
-        if w_last is not None:
-            out.append(front + (w_last,))
+    for head in itertools.product(*outer):
+        prefix = tuple(u for u, _ in head)
+        total = sum(c for _, c in head)
+        for u, c in inner:
+            w_last = first.get(total + c)
+            if w_last is not None:
+                out.append(prefix + (u, w_last))
     return sorted(out, key=_witness_order)
 
 
-def _coh_reference(g, weights):
-    """Test-only per-tuple loop: u^-1 lambda acted on every partition tuple."""
+def _coh_reference(g, weights, acted):
+    """Test-only per-tuple loop: u^-1 lambda acted on every partition tuple.
+    ``acted`` memoizes each action per (u, lambda) across calls."""
     out = []
     for tup in enumerate_partition_tuples(g, len(weights)):
-        images = [g.inverse(u).act(lam) for u, lam in zip(tup, weights)]
+        images = []
+        for u, lam in zip(tup, weights):
+            if (u, lam) not in acted:
+                acted[u, lam] = g.inverse(u).act(lam)
+            images.append(acted[u, lam])
         if all(c == 0 for c in map(sum, zip(*images))):
             out.append(tup)
     return sorted(out, key=_witness_order)
 
 
 def _assert_searches_match(g, cases):
+    acted = {}
     for weights in cases:
         assert prv_witnesses(g, weights) == _prv_reference(g, weights), weights
         assert (cohomological_witnesses(g, weights)
-                == _coh_reference(g, weights)), weights
+                == _coh_reference(g, weights, acted)), weights
 
 
 @pytest.mark.parametrize("label,s", [

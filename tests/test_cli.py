@@ -258,7 +258,7 @@ def test_bk_table_row_cap_exit_5_before_any_row(runner, monkeypatch):
         raise AssertionError("a row was built before the row cap")
 
     monkeypatch.setattr(cli, "BK_TABLE_ROW_CAP", 34)
-    monkeypatch.setattr(cli, "bk_coefficient", no_rows)
+    monkeypatch.setattr(cli, "bk_partner", no_rows)
     r = run(runner, "bk-table", "--group", "A2")
     assert r.exit_code == 5
     assert r.output == "error: bk-table of 35 rows exceeds cap 34\n"
