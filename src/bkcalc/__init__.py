@@ -50,6 +50,7 @@ from .rootsys import (
     GroupType,
     RootSystem,
     Weight,
+    borel_weil_bott,
     build_root_system,
     is_dominant,
 )
@@ -65,14 +66,9 @@ from .tensoracle import (
 from .weyl import (
     WeylElement,
     WeylGroup,
-    act,
-    borel_weil_bott,
-    dot,
     enumerate_weyl,
     format_word,
-    inverse,
     multiply,
     parse_word,
-    weight_star,
     weyl_group,
 )

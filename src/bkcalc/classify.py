@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .bkring import enumerate_partition_tuples, right_w0_translates
-from .errors import GroupTooLarge, InvalidWitness, NonDominantInput, OracleOverflow
+from .errors import GroupTooLarge, InvalidWitness, OracleOverflow
 from .rootsys import Weight, add_weights, is_dominant, neg_weight
 from .tensoracle import DEFAULT_BUDGET, OracleBudget, stable_mult_probe
 from .weyl import WeylElement, WeylGroup
@@ -73,12 +73,6 @@ class TripleClassification:
     extended: bool = False  # s > 3 analogue, beyond the three-factor statements
 
 
-def _require_dominant_tuple(weights) -> None:
-    for w in weights:
-        if not is_dominant(w):
-            raise NonDominantInput(f"weight {w} is not dominant")
-
-
 def _witness_sort_key(tup):
     return (sum(w.length for w in tup), tuple(w.word for w in tup))
 
@@ -110,9 +104,8 @@ def prv_witnesses(
     """
     if len(weights) < 2:
         raise ValueError("need at least two weights")
-    _require_dominant_tuple(weights)
     for w in weights:
-        group.rs.check_rank(w)
+        group.rs.check_dominant(w)
     cosets = {lam: _orbit_cosets(group, lam) for lam in set(weights)}
     front = [cosets[lam] for lam in weights[:-1]]
     last = cosets[weights[-1]]
@@ -133,9 +126,8 @@ def cohomological_witnesses(
 ) -> list[tuple[WeylElement, ...]]:
     """Witness tuples whose inversion sets partition Phi+ and whose
     inverted elements translate the weights to a zero sum."""
-    _require_dominant_tuple(weights)
     for w in weights:
-        group.rs.check_rank(w)
+        group.rs.check_dominant(w)
     partitions = enumerate_partition_tuples(group, len(weights))
     images = {lam: group.inverse_images(lam) for lam in set(weights)}
     columns = [images[lam] for lam in weights]
@@ -171,7 +163,8 @@ def classify(
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> TripleClassification:
     """Compute every flag, all witnesses, and the oracle evidence."""
-    _require_dominant_tuple(weights)
+    for w in weights:
+        group.rs.check_dominant(w)
     if K < 1:
         raise ValueError("scaling depth must be at least 1")
     # the partition enumeration enforces the tuple-size cap, so it runs
@@ -254,16 +247,18 @@ def face_sample(
     u_inv, v_inv, w_inv = group.inverse(u), group.inverse(v), group.inverse(w)
     triples = []
     box = list(itertools.product(range(bound + 1), repeat=rs.rank))
-    # each action depends on one weight only, so it is taken once per weight
+    # each action depends on one weight only, so it is taken once per
+    # weight; w is linear, so -w(u^-1 lam + v^-1 mu) is a sum of two images
     u_images = [u_inv.act(lam) for lam in box]
     v_images = [v_inv.act(mu) for mu in box]
-    for lam, u_lam in zip(box, u_images):
-        for mu, v_mu in zip(box, v_images):
-            partial = add_weights(u_lam, v_mu)
-            nu = neg_weight(w.act(partial))
+    u_far = [neg_weight(w.act(x)) for x in u_images]
+    v_far = [neg_weight(w.act(x)) for x in v_images]
+    for lam, u_lam, u_nu in zip(box, u_images, u_far):
+        for mu, v_mu, v_nu in zip(box, v_images, v_far):
+            nu = add_weights(u_nu, v_nu)
             if is_dominant(nu):
-                # exact zero-sum identity by construction
-                if any(add_weights(partial, w_inv.act(nu))):
+                # the zero-sum identity, checked through w^-1 instead of w
+                if any(add_weights(add_weights(u_lam, v_mu), w_inv.act(nu))):
                     raise ArithmeticError(
                         f"face triple {(lam, mu, nu)} does not sum to zero"
                     )

@@ -35,7 +35,7 @@ import click
 from . import __version__
 from .bkring import bk_partner, enumerate_partition_tuples
 from .classify import classify as classify_tuple
-from .classify import face_sample
+from .classify import DEFAULT_SCALING_DEPTH, face_sample
 from .errors import (
     GroupTooLarge,
     InvalidWitness,
@@ -83,9 +83,9 @@ class RunConfig:
     """Defaults shared by all subcommands; JSON round-trippable."""
 
     group: str = "A2"
-    scaling_depth: int = 3
+    scaling_depth: int = DEFAULT_SCALING_DEPTH
     weight_bound: int = 2
-    oracle_dim_cap: int = 10**5
+    oracle_dim_cap: int = OracleBudget.dim_cap
     output_format: str = "text"
 
     def to_dict(self) -> dict:

@@ -10,6 +10,11 @@ Weights pair with roots in one way only, through the symmetrized form with
 alpha_i as (nu, alpha) = sum c_i d_i nu_i.  ``RootSystem.root_pairings``
 holds the tuple (c_i d_i) of every positive root; the Weyl dimension and
 the Freudenthal recursion both read it.
+
+Every operation on a weight lives here.  ``RootSystem.check_dominant`` is
+the one check of an input weight.  ``RootSystem.to_dominant`` is the one
+walk into the dominant chamber: the star map and the Borel-Weil-Bott
+regularization of the tensor oracle both call it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import RankMismatch, UnsupportedType
+from .errors import NonDominantInput, RankMismatch, UnsupportedType
 
 # A weight in fundamental-weight coordinates.
 Weight = tuple[int, ...]
@@ -177,6 +182,12 @@ class RootSystem:
                 f"weight of length {len(lam)} for rank {self.rank} group"
             )
 
+    def check_dominant(self, lam: Weight) -> None:
+        """The check of an input weight: its rank, then its dominance."""
+        self.check_rank(lam)
+        if not is_dominant(lam):
+            raise NonDominantInput(f"weight {lam} is not dominant")
+
     # -- lookups ----------------------------------------------------------
 
     def simple_reflect(self, i: int, lam: Weight) -> Weight:
@@ -184,21 +195,46 @@ class RootSystem:
         ci = lam[i]
         return tuple(x - self.cartan[k][i] * ci for k, x in enumerate(lam))
 
-    def dominant_representative(self, lam: Weight) -> Weight:
-        """The dominant element of the Weyl orbit of ``lam``."""
+    def to_dominant(self, lam: Weight) -> tuple[int, Weight]:
+        """Walk ``lam`` into the dominant chamber, reflecting at the first
+        negative coordinate; the number of steps and the dominant weight.
+
+        Each step s_i lowers by one the number of positive roots that pair
+        negatively with the weight, so the walk ends.  For a regular weight
+        the step count is that number, the length of the w with w x = lam.
+        """
+        self.check_rank(lam)
         x = tuple(lam)
+        steps = 0
         while True:
             for i, c in enumerate(x):
                 if c < 0:
                     x = self.simple_reflect(i, x)
+                    steps += 1
                     break
             else:
-                return x
+                return steps, x
 
     def star(self, lam: Weight) -> Weight:
         """The dominant element of the orbit of -lam, i.e. -w0(lam) for
         dominant lam."""
-        return self.dominant_representative(neg_weight(lam))
+        return self.to_dominant(neg_weight(lam))[1]
+
+
+def borel_weil_bott(rs: RootSystem, chi: Weight):
+    """Regularize an arbitrary weight under the dot action.
+
+    Returns None when chi + rho is singular; otherwise the unique pair
+    (q, lam) with lam dominant and chi = w . lam for the (unique) w of
+    length q.  A weight on a wall stays on one along its orbit, so chi +
+    rho is singular exactly when its dominant representative has a zero
+    coordinate.
+    """
+    # rho = (1, ..., 1) in fundamental-weight coordinates
+    q, x = rs.to_dominant(tuple(c + 1 for c in chi))
+    if 0 in x:
+        return None
+    return q, tuple(c - 1 for c in x)
 
 
 @lru_cache(maxsize=None)

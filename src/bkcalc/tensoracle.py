@@ -4,6 +4,9 @@ Weight multiplicities come from the Freudenthal recursion; tensor products
 from the Klimyk sign-regularization over the weights of the smaller factor.
 Everything is exact integer arithmetic; exceeding the size budget raises
 :class:`OracleOverflow` instead of degrading.
+
+The oracle reads only the root system: weights are checked and regularized
+by :mod:`bkcalc.rootsys`, and no Weyl group element or witness enters.
 """
 
 from __future__ import annotations
@@ -11,9 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonDominantInput, OracleOverflow
-from .rootsys import RootSystem, Weight, add_weights, is_dominant
-from .weyl import borel_weil_bott
+from .errors import OracleOverflow
+from .rootsys import RootSystem, Weight, add_weights, borel_weil_bott
 
 
 @dataclass(frozen=True)
@@ -34,15 +36,9 @@ class Decomposition:
     terms: tuple[tuple[Weight, int], ...]  # sorted lexicographically by weight
 
 
-def _require_dominant(lam: Weight) -> None:
-    if not is_dominant(lam):
-        raise NonDominantInput(f"weight {lam} is not dominant")
-
-
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible module, by the Weyl formula."""
-    rs.check_rank(lam)
-    _require_dominant(lam)
+    rs.check_dominant(lam)
     # prod over alpha > 0 of (lam + rho, alpha) / (rho, alpha)
     num, den = (
         math.prod(sum(c * x for c, x in zip(cd, nu)) for cd in rs.root_pairings)
@@ -61,9 +57,7 @@ def weight_multiplicities(
     rs: RootSystem, lam: Weight, budget: OracleBudget = DEFAULT_BUDGET
 ) -> dict[Weight, int]:
     """All weights of the irreducible module with their multiplicities."""
-    rs.check_rank(lam)
-    _require_dominant(lam)
-    dim = weyl_dim(rs, lam)
+    dim = weyl_dim(rs, lam)  # checks lam
     if dim > budget.dim_cap:
         raise OracleOverflow(
             f"dim V_{lam} = {dim} exceeds budget cap {budget.dim_cap}"
@@ -136,10 +130,8 @@ def decompose(
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> Decomposition:
     """Exact decomposition of the tensor product of two irreducibles."""
-    rs.check_rank(lam)
-    rs.check_rank(mu)
-    _require_dominant(lam)
-    _require_dominant(mu)
+    rs.check_dominant(lam)
+    rs.check_dominant(mu)
     key = (rs.group_type, lam, mu, budget)
     if key in _decompose_cache:
         return _decompose_cache[key]
@@ -180,11 +172,9 @@ def invariant_dim(
     if len(weights) < 2:
         raise ValueError("need at least two weights")
     for w in weights:
-        rs.check_rank(w)
-        _require_dominant(w)
-    if len(weights) == 2:
-        return 1 if weights[1] == rs.star(weights[0]) else 0
-    # fold the first s-1 factors, then pair against the last
+        rs.check_dominant(w)
+    # fold the first s-1 factors, then pair against the last; with two
+    # factors the fold is empty and charges no budget
     current: dict[Weight, int] = {weights[0]: 1}
     for nxt in weights[1:-1]:
         acc: dict[Weight, int] = {}

@@ -20,7 +20,7 @@ from .bkring import (
     enumerate_levi_movable_tuples,
     enumerate_partition_tuples,
 )
-from .classify import classify, prv_witnesses
+from .classify import DEFAULT_SCALING_DEPTH, classify, prv_witnesses
 from .cupcalc import schubert_calculus
 from .errors import OracleOverflow
 from .rootsys import add_weights, neg_weight
@@ -182,7 +182,7 @@ def _dominant_triples(rank: int, bound: int):
 
 
 def suite_equivalence(
-    group: WeylGroup, weight_bound: int = 2, K: int = 3
+    group: WeylGroup, weight_bound: int = 2, K: int = DEFAULT_SCALING_DEPTH
 ) -> SuiteResult:
     """Cohomological == (PRV and all probed invariant dimensions are 1).
 
@@ -310,7 +310,10 @@ _RANK2_ONLY = {"equivalence", "prv-bound"}
 
 
 def run_suites(
-    group: WeylGroup, names: list[str], weight_bound: int = 2, K: int = 3
+    group: WeylGroup,
+    names: list[str],
+    weight_bound: int = 2,
+    K: int = DEFAULT_SCALING_DEPTH,
 ) -> list[SuiteResult]:
     """Run the named suites; ``weight_bound`` and ``K`` go to the sweeps
     over dominant weight boxes."""

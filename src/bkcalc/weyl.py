@@ -1,4 +1,4 @@
-"""Weyl group enumeration, inversion sets, dot action and regularization.
+"""Weyl group enumeration, inversion sets, products and the action on weights.
 
 Elements are identified by their inversion set
 
@@ -8,12 +8,14 @@ i.e. the positive roots sent to negative roots by w acting on the left; w is
 determined by Phi_w.  Each element is built once by its group, so equality
 is identity.  The reduced word (lexicographically minimal) is recorded
 during enumeration, together with the right Cayley graph w -> w s_i, along
-which products, inverses and the action on weights are walked.
+which products, inverses and the action on weights are walked.  Walking a
+weight into the dominant chamber needs no group, so the star map and the
+Borel-Weil-Bott regularization live in :mod:`bkcalc.rootsys`.
 """
 
 from __future__ import annotations
 
-from .errors import GroupTooLarge, MixedRootSystems, RankMismatch
+from .errors import GroupTooLarge, MixedRootSystems
 from .rootsys import (
     GroupType,
     RootSystem,
@@ -54,8 +56,7 @@ class WeylElement:
     def act(self, lam: Weight) -> Weight:
         """Linear action on fundamental-weight coordinates."""
         rs = self.group.rs
-        if len(lam) != rs.rank:
-            raise RankMismatch(f"weight {lam} for rank {rs.rank}")
+        rs.check_rank(lam)
         for i in reversed(self.word):
             lam = rs.simple_reflect(i, lam)
         return tuple(lam)
@@ -218,45 +219,6 @@ def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
     for i in v.word:
         u = u.right[i]
     return u
-
-
-def inverse(w: WeylElement) -> WeylElement:
-    return w.group.inverse(w)
-
-
-def act(w: WeylElement, lam: Weight) -> Weight:
-    return w.act(lam)
-
-
-def dot(w: WeylElement, lam: Weight) -> Weight:
-    return w.dot(lam)
-
-
-def weight_star(group: WeylGroup, lam: Weight) -> Weight:
-    """lam* = -w0(lam) for dominant lam; see :meth:`RootSystem.star`."""
-    return group.rs.star(lam)
-
-
-def borel_weil_bott(rs: RootSystem, chi: Weight):
-    """Regularize an arbitrary weight under the dot action.
-
-    Returns None when chi + rho is singular; otherwise the unique pair
-    (q, lam) with lam dominant and chi = w . lam for the (unique) w of
-    length q.
-    """
-    rs.check_rank(chi)
-    x = add_weights(chi, rs.rho)
-    q = 0
-    while True:
-        if any(c == 0 for c in x):
-            return None
-        for i, c in enumerate(x):
-            if c < 0:
-                x = rs.simple_reflect(i, x)
-                q += 1
-                break
-        else:
-            return q, tuple(c - 1 for c in x)
 
 
 # -- reduced-word wire format ---------------------------------------------

@@ -12,7 +12,6 @@ from bkcalc import (
     cohomological_witnesses,
     invariant_dim,
     prv_witnesses,
-    weight_star,
     weyl_group,
 )
 from bkcalc.verify import (
@@ -105,7 +104,7 @@ def test_criterion_7_distinguishing_witnesses():
     for _ in range(20):
         lam = tuple(rng.randint(0, 4) for _ in range(2))
         mu = tuple(rng.randint(0, 4) for _ in range(2))
-        nu = weight_star(g, tuple(a + b for a, b in zip(lam, mu)))
+        nu = g.rs.star(tuple(a + b for a, b in zip(lam, mu)))
         wits = cohomological_witnesses(g, (lam, mu, nu))
         ok = ok and (g.identity, g.identity, g.w0) in wits
     _report(ok, "criterion 7: (rho,rho,rho) is orbit-witnessed but not "

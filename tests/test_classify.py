@@ -19,7 +19,6 @@ from bkcalc import (
     parse_word,
     prv_witnesses,
     regularly_extremal_witnesses,
-    weight_star,
     weyl_group,
 )
 
@@ -233,7 +232,7 @@ def test_face_sample_cartan_witness(a2):
     assert ((1, 0), (0, 1), (1, 1)) in fs.triples
     assert fs.lattice_rank == 4  # 2r for rank 2
     for lam, mu, nu in fs.triples:
-        assert nu == weight_star(a2, tuple(
+        assert nu == a2.rs.star(tuple(
             a + b for a, b in zip(lam, mu)
         ))
 

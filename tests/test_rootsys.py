@@ -1,8 +1,12 @@
+import itertools
+
 import pytest
 
 from bkcalc import (
     GroupType,
+    RankMismatch,
     UnsupportedType,
+    borel_weil_bott,
     build_root_system,
     weight_multiplicities,
 )
@@ -134,3 +138,40 @@ def test_adjoint_module_weights(label):
         expected[alpha] = 1
         expected[tuple(-x for x in alpha)] = 1
     assert weight_multiplicities(rs, theta) == expected
+
+
+# coordinates -4..4 at rank <= 2 and -2..2 at rank 3 keep each case small
+BWB_BOXES = {"A1": 4, "A2": 4, "B2": 4, "G2": 4, "A3": 2}
+
+
+@pytest.mark.parametrize("label", sorted(BWB_BOXES))
+def test_borel_weil_bott_against_its_definition(label):
+    """chi + rho singular (some positive root pairs to 0) gives None;
+    otherwise q counts the positive roots that pair negatively with
+    chi + rho, and the weight is dominant."""
+    rs = rs_of(label)
+    b = BWB_BOXES[label]
+    for chi in itertools.product(range(-b, b + 1), repeat=rs.rank):
+        shifted = tuple(c + r for c, r in zip(chi, rs.rho))
+        pairings = [pair(rs, shifted, k) for k in range(rs.n_pos)]
+        result = borel_weil_bott(rs, chi)
+        if 0 in pairings:
+            assert result is None, chi
+        else:
+            q, lam = result
+            assert q == sum(p < 0 for p in pairings), chi
+            assert all(c >= 0 for c in lam), chi
+
+
+def test_borel_weil_bott_finds_a_wall_after_a_step():
+    # chi + rho = (-2, 2) has no zero coordinate; s_1 takes it to (2, 0)
+    assert borel_weil_bott(rs_of("A2"), (-3, 1)) is None
+
+
+@pytest.mark.parametrize("lam", [(1,), (1, 0, 0)])
+def test_star_and_borel_weil_bott_check_the_rank(lam):
+    rs = rs_of("A2")
+    with pytest.raises(RankMismatch):
+        rs.star(lam)
+    with pytest.raises(RankMismatch):
+        borel_weil_bott(rs, lam)

@@ -1,9 +1,16 @@
-"""Source-level guards for the exactness rules of the package.
+"""Source-level guards for the exactness and independence rules of the
+package.
 
 Arithmetic is exact integer arithmetic throughout, so ``src/bkcalc`` holds
 no float literal, no true division and no ``float`` or ``Fraction``; every
 runtime invariant is a real check, so it holds no ``assert``, which
 ``python -O`` would strip.
+
+The two oracles check the inversion-set product from outside, so neither
+may read what it checks: the tensor oracle imports nothing of the package
+but its errors and the root system, so it cannot consult a Weyl element or
+a witness, and the cup oracle takes only ``CohomClass`` from the BK ring
+and reads no inversion set.
 """
 
 import ast
@@ -47,4 +54,68 @@ def test_guard_catches_each_rule():
                "from fractions import Fraction\nfractions.Fraction(1)\n")
     assert sorted(line for line, _ in _violations(ast.parse(planted))) == [
         1, 2, 3, 4, 5, 6, 7,
+    ]
+
+
+def _package_imports(tree):
+    """(line, submodule, imported names) for each import from bkcalc."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+            if node.level:
+                if node.module is None:  # from . import x
+                    for name in names:
+                        yield node.lineno, name, []
+                else:
+                    yield node.lineno, node.module, names
+            elif (node.module or "").startswith("bkcalc."):
+                yield node.lineno, node.module[len("bkcalc."):], names
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("bkcalc."):
+                    yield node.lineno, a.name[len("bkcalc."):], []
+
+
+def _tensoracle_violations(tree):
+    for line, module, _ in _package_imports(tree):
+        if module not in ("errors", "rootsys"):
+            yield line, f"import of bkcalc.{module}"
+
+
+CUP_FORBIDDEN = {"inversions", "from_inversion_set"}
+
+
+def _cupcalc_violations(tree):
+    for line, module, names in _package_imports(tree):
+        if module == "bkring" and names != ["CohomClass"]:
+            yield line, f"import of {names} from bkcalc.bkring"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in CUP_FORBIDDEN:
+            yield node.lineno, f"attribute {node.attr}"
+        elif isinstance(node, ast.Name) and node.id in CUP_FORBIDDEN:
+            yield node.lineno, f"name {node.id}"
+
+
+def _parse(name):
+    path = SRC / name
+    return ast.parse(path.read_text(), str(path))
+
+
+def test_oracles_read_nothing_they_check():
+    assert list(_tensoracle_violations(_parse("tensoracle.py"))) == []
+    assert list(_cupcalc_violations(_parse("cupcalc.py"))) == []
+
+
+def test_independence_guards_catch_each_rule():
+    planted = ("from .weyl import multiply\nfrom . import classify\n"
+               "import bkcalc.bkring\nfrom bkcalc.cupcalc import x\n"
+               "from .rootsys import Weight\nfrom .errors import E\n")
+    assert [line for line, _ in _tensoracle_violations(ast.parse(planted))] == [
+        1, 2, 3, 4,
+    ]
+    planted = ("from .bkring import CohomClass, bk_coefficient\n"
+               "m = w.inversions\ng.from_inversion_set(m)\n"
+               "from_inversion_set = 0\nfrom .bkring import CohomClass\n")
+    assert sorted(line for line, _ in _cupcalc_violations(ast.parse(planted))) == [
+        1, 2, 3, 4,
     ]

@@ -117,16 +117,26 @@ def test_decompose_dimension_identity_and_symmetry(label):
 def test_invariant_dim_examples(a2):
     assert invariant_dim(a2, ((1, 0), (0, 1), (0, 0))) == 1
     assert invariant_dim(a2, ((1, 1), (1, 1), (1, 1))) == 2
-    g = weyl_group(GroupType.parse("A2"))
-    from bkcalc import weight_star
-
     for lam in itertools.product(range(3), repeat=2):
-        assert invariant_dim(a2, (lam, weight_star(g, lam), (0, 0))) == 1
+        assert invariant_dim(a2, (lam, a2.star(lam), (0, 0))) == 1
 
 
 def test_invariant_dim_two_factor(a2):
     assert invariant_dim(a2, ((1, 0), (0, 1))) == 1
     assert invariant_dim(a2, ((1, 0), (1, 0))) == 0
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_invariant_dim_two_weights_is_the_star_pairing(label):
+    """V_lam x V_mu has an invariant iff mu = lam*, and finding out charges
+    no budget: a cap of 1 refuses every nontrivial module."""
+    rs = build_root_system(GroupType.parse(label))
+    box = list(itertools.product(range(3), repeat=2))
+    for lam in box:
+        for mu in box:
+            expected = int(mu == rs.star(lam))
+            assert invariant_dim(rs, (lam, mu)) == expected
+            assert invariant_dim(rs, (lam, mu), OracleBudget(dim_cap=1)) == expected
 
 
 def test_invariant_dim_permutation_symmetry(a2):
@@ -140,12 +150,9 @@ def test_invariant_dim_permutation_symmetry(a2):
 def test_dual_consistency(a2):
     """Multiplicity of nu in a product equals the invariant dimension
     against nu*."""
-    from bkcalc import weight_star
-
-    g = weyl_group(GroupType.parse("A2"))
     d = decompose(a2, (2, 1), (1, 1))
     for nu, m in d.terms:
-        assert invariant_dim(a2, ((2, 1), (1, 1), weight_star(g, nu))) == m
+        assert invariant_dim(a2, ((2, 1), (1, 1), a2.star(nu))) == m
 
 
 def test_stable_mult_probe_examples(a2):
