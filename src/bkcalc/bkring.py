@@ -8,20 +8,20 @@ independent polynomial oracle lives in :mod:`bkcalc.cupcalc`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import GroupTooLarge, MixedRootSystems
 from .weyl import WeylElement, WeylGroup, _same_group, multiply
 
 DEFAULT_TUPLE_SIZE_CAP = 6
 
 
-@dataclass
 class CohomClass:
     """Finitely supported integer combination of Schubert classes."""
 
-    group: WeylGroup
-    coeffs: dict[WeylElement, int] = field(default_factory=dict)
+    __slots__ = ("group", "coeffs")
+
+    def __init__(self, group: WeylGroup, coeffs: dict[WeylElement, int]):
+        self.group = group
+        self.coeffs = coeffs
 
     @classmethod
     def zero(cls, group: WeylGroup) -> "CohomClass":

@@ -11,7 +11,7 @@ oracle, never asserted from a finite probe.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
 
 from .bkring import enumerate_partition_tuples, right_w0_translates
 from .errors import GroupTooLarge, InvalidWitness, OracleOverflow
@@ -20,18 +20,29 @@ from .tensoracle import DEFAULT_BUDGET, OracleBudget, stable_mult_probe
 from .weyl import WeylElement, WeylGroup
 
 DEFAULT_SCALING_DEPTH = 3
+DEFAULT_WEIGHT_BOUND = 2  # coordinate bound of the verify sweeps' weight box
 DEFAULT_FACE_PAIR_CAP = 10**5  # weight pairs a face sample may walk
 
 
-@dataclass(frozen=True)
 class StableStatus:
     """Three-valued stable-multiplicity-one verdict with provenance."""
 
-    kind: str  # "proven_true" | "refuted" | "unknown"
-    refuted_k: int | None = None
-    refuted_dim: int | None = None
-    probed_depth: int | None = None
-    provenance: str = ""
+    __slots__ = ("kind", "refuted_k", "refuted_dim", "probed_depth",
+                 "provenance")
+
+    def __init__(
+        self,
+        kind: str,  # "proven_true" | "refuted" | "unknown"
+        refuted_k: int | None = None,
+        refuted_dim: int | None = None,
+        probed_depth: int | None = None,
+        provenance: str = "",
+    ):
+        self.kind = kind
+        self.refuted_k = refuted_k
+        self.refuted_dim = refuted_dim
+        self.probed_depth = probed_depth
+        self.provenance = provenance
 
     @classmethod
     def proven_true(cls) -> "StableStatus":
@@ -56,21 +67,36 @@ class StableStatus:
         )
 
 
-@dataclass
 class TripleClassification:
     """Full verdict for one dominant weight tuple."""
 
-    weights: tuple[Weight, ...]
-    prv: bool
-    prv_witnesses: list[tuple[WeylElement, ...]]
-    cohomological: bool
-    coh_witnesses: list[tuple[WeylElement, ...]]
-    regularly_extremal: bool
-    reg_witnesses: list[tuple[WeylElement, ...]]
-    stable_mult_one: StableStatus
-    oracle_mults: list[tuple[int, int]] = field(default_factory=list)
-    oracle_overflow: bool = False
-    extended: bool = False  # s > 3 analogue, beyond the three-factor statements
+    __slots__ = ("weights", "prv", "prv_witnesses", "cohomological",
+                 "coh_witnesses", "regularly_extremal", "reg_witnesses",
+                 "stable_mult_one", "oracle_mults", "oracle_overflow",
+                 "extended")
+
+    def __init__(
+        self,
+        weights: tuple[Weight, ...],
+        prv_witnesses: list[tuple[WeylElement, ...]],
+        coh_witnesses: list[tuple[WeylElement, ...]],
+        reg_witnesses: list[tuple[WeylElement, ...]],
+        stable_mult_one: StableStatus,
+        oracle_mults: list[tuple[int, int]],
+        oracle_overflow: bool,
+    ):
+        self.weights = weights
+        self.prv = bool(prv_witnesses)
+        self.prv_witnesses = prv_witnesses
+        self.cohomological = bool(coh_witnesses)
+        self.coh_witnesses = coh_witnesses
+        self.regularly_extremal = bool(reg_witnesses)
+        self.reg_witnesses = reg_witnesses
+        self.stable_mult_one = stable_mult_one
+        self.oracle_mults = oracle_mults
+        self.oracle_overflow = oracle_overflow
+        # the s > 3 analogue, beyond the three-factor statements
+        self.extended = len(weights) > 3
 
 
 def _witness_sort_key(tup):
@@ -190,28 +216,24 @@ def classify(
         else:
             stable = StableStatus.unknown(len(mults))
 
-    return TripleClassification(
-        weights=tuple(weights),
-        prv=bool(prv),
-        prv_witnesses=prv,
-        cohomological=bool(coh),
-        coh_witnesses=coh,
-        regularly_extremal=bool(reg),
-        reg_witnesses=reg,
-        stable_mult_one=stable,
-        oracle_mults=mults,
-        oracle_overflow=overflow,
-        extended=len(weights) > 3,
-    )
+    return TripleClassification(tuple(weights), prv, coh, reg, stable, mults,
+                                overflow)
 
 
-@dataclass
 class FaceSample:
     """Grid sample of a minimal regular face plus its lattice rank."""
 
-    witness: tuple[WeylElement, ...]
-    triples: list[tuple[Weight, ...]]
-    lattice_rank: int
+    __slots__ = ("witness", "triples", "lattice_rank")
+
+    def __init__(
+        self,
+        witness: tuple[WeylElement, ...],
+        triples: list[tuple[Weight, ...]],
+        lattice_rank: int,
+    ):
+        self.witness = witness
+        self.triples = triples
+        self.lattice_rank = lattice_rank
 
 
 def face_sample(
@@ -263,23 +285,30 @@ def face_sample(
                         f"face triple {(lam, mu, nu)} does not sum to zero"
                     )
                 triples.append((lam, mu, nu))
-    return FaceSample(witness, triples, _lattice_rank(triples))
+    return FaceSample(witness, triples, _lattice_rank(triples, 2 * rs.rank))
 
 
-def _lattice_rank(triples) -> int:
-    """Rank of the sample matrix by fraction-free (Bareiss) elimination.
+def _lattice_rank(triples, most: int) -> int:
+    """Rank of the sample matrix, each row reduced, fraction-free, against
+    a basis of the rows kept so far.
 
-    Row r becomes (piv[c] * r - r[c] * piv) / prev, where prev is the
-    previous pivot; the division is exact, so entries stay integers.
+    Each kept row is zero at the pivot columns of the rows kept before it,
+    so reducing by the basis in order clears every pivot column; a row left
+    nonzero joins the basis, divided by the gcd of its entries.  The
+    samples lie in the kernel of the zero-sum map, of dimension ``most``,
+    so a basis of that many rows is complete.
     """
-    rows = [[c for w in t for c in w] for t in triples]
-    rank, prev = 0, 1
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in rows if r[c]), None)
-        if piv is None:
-            continue
-        rows.remove(piv)
-        rows = [[(piv[c] * x - r[c] * p) // prev for x, p in zip(r, piv)]
-                for r in rows]
-        rank, prev = rank + 1, piv[c]
-    return rank
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for t in triples:
+        if len(basis) == most:
+            break
+        row = [c for w in t for c in w]
+        for p, b in basis:
+            x = row[p]
+            if x:
+                row = [b[p] * r - x * c for r, c in zip(row, b)]
+        pivot = next((i for i, x in enumerate(row) if x), None)
+        if pivot is not None:
+            g = math.gcd(*row)
+            basis.append((pivot, [x // g for x in row]))
+    return len(basis)

@@ -7,7 +7,8 @@ Wire formats:
     (``"1.2.1"``), with ``"e"`` for the identity.
 
 Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 domain error,
-4 oracle budget exceeded, 5 size cap exceeded.
+4 oracle budget exceeded (for ``verify``: a suite none of whose cases the
+budget let it decide), 5 size cap exceeded.
 
 Every command writes through one writer, :func:`_emit`.  It takes the output
 as a stream of string chunks and writes them in batches, after the command's
@@ -22,20 +23,18 @@ formatted row by row as they are written, so no command holds them as text.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
 
 import click
 
 from . import __version__
 from .bkring import bk_partner, enumerate_partition_tuples
 from .classify import classify as classify_tuple
-from .classify import DEFAULT_SCALING_DEPTH, face_sample
+from .classify import DEFAULT_SCALING_DEPTH, DEFAULT_WEIGHT_BOUND, face_sample
 from .errors import (
     GroupTooLarge,
     InvalidWitness,
@@ -46,6 +45,8 @@ from .errors import (
 )
 from .rootsys import GroupType, build_root_system
 from .tensoracle import OracleBudget, decompose, weyl_dim
+# imported here, not in cmd_verify: perfbench's tracer wraps only modules
+# already imported when it is installed
 from .verify import run_suites
 from .weyl import enumerate_weyl, format_word, parse_word
 
@@ -78,26 +79,41 @@ _EXIT_CODES = {
 _INT = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*")
 
 
-@dataclass
 class RunConfig:
     """Defaults shared by all subcommands; JSON round-trippable."""
 
-    group: str = "A2"
-    scaling_depth: int = DEFAULT_SCALING_DEPTH
-    weight_bound: int = 2
-    oracle_dim_cap: int = OracleBudget.dim_cap
-    output_format: str = "text"
+    __slots__ = ("group", "scaling_depth", "weight_bound", "oracle_dim_cap",
+                 "output_format")
+
+    def __init__(
+        self,
+        group: str = "A2",
+        scaling_depth: int = DEFAULT_SCALING_DEPTH,
+        weight_bound: int = DEFAULT_WEIGHT_BOUND,
+        oracle_dim_cap: int = OracleBudget.dim_cap,
+        output_format: str = "text",
+    ):
+        self.group = group
+        self.scaling_depth = scaling_depth
+        self.weight_bound = weight_bound
+        self.oracle_dim_cap = oracle_dim_cap
+        self.output_format = output_format
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        if type(other) is not RunConfig:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        cfg = cls(**data)
-        for f in fields(cls):
-            value, kind = getattr(cfg, f.name), type(f.default)
+        cfg, default = cls(**data), cls()
+        for name in cls.__slots__:
+            value, kind = getattr(cfg, name), type(getattr(default, name))
             if type(value) is not kind:
-                raise TypeError(f"{f.name} must be {kind.__name__}, "
+                raise TypeError(f"{name} must be {kind.__name__}, "
                                 f"not {type(value).__name__}")
         if cfg.output_format not in OUTPUT_FORMATS:
             raise ValueError(f"output_format must be one of "
@@ -342,6 +358,8 @@ def _classify_text(payload, weights, result, witnesses):
 @_out_opt
 def cmd_bk_table(group_label, fmt, out):
     """Full multiplication table of the degenerated product."""
+    import hashlib  # only this command hashes; OpenSSL is slow to load
+
     cfg = _load_config()
     group = _parse_group(_given_or(group_label, cfg.group))
     n = group.w0.length
@@ -529,18 +547,18 @@ def cmd_verify(group_label, suites, weight_bound, scaling_depth, out):
         K=_given_or(scaling_depth, cfg.scaling_depth),
     )
     lines = []
-    failed = False
     for r in results:
-        status = "pass" if r.passed else "FAIL"
-        lines.append(f"[{status}] {r.name}: checked={r.checked} {r.detail}")
+        lines.append(f"[{r.status}] {r.name}: checked={r.checked} {r.detail}")
         if not r.passed:
-            failed = True
             lines.append(
                 "counterexample: " + json.dumps(r.counterexample, sort_keys=True)
             )
     _emit(["\n".join(lines) + "\n"], out)
-    if failed:
+    statuses = {r.status for r in results}
+    if "FAIL" in statuses:
         sys.exit(EXIT_VERIFY_FAILED)
+    if "inconclusive" in statuses:
+        sys.exit(EXIT_ORACLE)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ regularization of the tensor oracle both call it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NonDominantInput, RankMismatch, UnsupportedType
@@ -42,14 +41,15 @@ _N_POS = {
 }
 
 
-@dataclass(frozen=True)
 class GroupType:
-    """A simple group type: series letter plus rank, e.g. B3."""
+    """A simple group type: series letter plus rank, e.g. B3.  A dict and
+    cache key, equal by value."""
 
-    series: str
-    rank: int
+    __slots__ = ("series", "rank")
 
-    def __post_init__(self):
+    def __init__(self, series: str, rank: int):
+        self.series = series
+        self.rank = rank
         if self.series not in _SERIES_MIN_RANK:
             raise UnsupportedType(f"unknown series {self.series!r}")
         if self.series == "E":
@@ -71,6 +71,14 @@ class GroupType:
                 f"{self.series}{self.rank}: rank must be at least "
                 f"{_SERIES_MIN_RANK[self.series]}"
             )
+
+    def __eq__(self, other):
+        if type(other) is not GroupType:
+            return NotImplemented
+        return (self.series, self.rank) == (other.series, other.rank)
+
+    def __hash__(self):
+        return hash((self.series, self.rank))
 
     @classmethod
     def parse(cls, text: str) -> "GroupType":
@@ -144,9 +152,8 @@ def _symmetrizers(t: GroupType) -> tuple[int, ...]:
     return (1,) * r
 
 
-@dataclass(frozen=True, eq=False)
 class RootSystem:
-    """Immutable positive-root table for one group type.
+    """Positive-root table for one group type, not changed once built.
 
     ``positive_roots`` are in simple-root coordinates with the simple roots
     occupying the first ``rank`` slots in index order; the remaining roots
@@ -156,15 +163,30 @@ class RootSystem:
     fundamental-weight coordinates of a positive root to its index.
     """
 
-    group_type: GroupType
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[tuple[int, ...], ...]
-    positive_roots_fw: tuple[Weight, ...]
-    root_pairings: tuple[tuple[int, ...], ...]
-    fw_index: dict[Weight, int]
-    rho: Weight
-    n_pos: int
-    symmetrizers: tuple[int, ...]
+    __slots__ = ("group_type", "cartan", "positive_roots", "positive_roots_fw",
+                 "root_pairings", "fw_index", "rho", "n_pos", "symmetrizers")
+
+    def __init__(
+        self,
+        group_type: GroupType,
+        cartan: tuple[tuple[int, ...], ...],
+        positive_roots: tuple[tuple[int, ...], ...],
+        positive_roots_fw: tuple[Weight, ...],
+        root_pairings: tuple[tuple[int, ...], ...],
+        fw_index: dict[Weight, int],
+        rho: Weight,
+        n_pos: int,
+        symmetrizers: tuple[int, ...],
+    ):
+        self.group_type = group_type
+        self.cartan = cartan
+        self.positive_roots = positive_roots
+        self.positive_roots_fw = positive_roots_fw
+        self.root_pairings = root_pairings
+        self.fw_index = fw_index
+        self.rho = rho
+        self.n_pos = n_pos
+        self.symmetrizers = symmetrizers
 
     @property
     def rank(self) -> int:

@@ -12,28 +12,46 @@ by :mod:`bkcalc.rootsys`, and no Weyl group element or witness enters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import OracleOverflow
 from .rootsys import RootSystem, Weight, add_weights, borel_weil_bott
 
 
-@dataclass(frozen=True)
 class OracleBudget:
     """Cap on the dimension of each module the oracle tabulates; the oracle
-    refuses, before any work, rather than approximates."""
+    refuses, before any work, rather than approximates.  A cache key, equal
+    by value.  It has no ``__slots__``, since a slot would hide the class
+    default ``dim_cap`` that ``RunConfig`` reads."""
 
-    dim_cap: int = 10**5
+    dim_cap = 10**5
+
+    def __init__(self, dim_cap: int = dim_cap):
+        self.dim_cap = dim_cap
+
+    def __eq__(self, other):
+        if type(other) is not OracleBudget:
+            return NotImplemented
+        return self.dim_cap == other.dim_cap
+
+    def __hash__(self):
+        return hash(self.dim_cap)
 
 
 DEFAULT_BUDGET = OracleBudget()
 
 
-@dataclass(frozen=True)
 class Decomposition:
     """Multiset of highest weights of an (iterated) tensor product."""
 
-    terms: tuple[tuple[Weight, int], ...]  # sorted lexicographically by weight
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Weight, int], ...]):
+        self.terms = terms  # sorted lexicographically by weight
+
+    def __eq__(self, other):
+        if type(other) is not Decomposition:
+            return NotImplemented
+        return self.terms == other.terms
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:

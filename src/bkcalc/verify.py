@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 
 from .bkring import (
     CohomClass,
@@ -20,7 +19,12 @@ from .bkring import (
     enumerate_levi_movable_tuples,
     enumerate_partition_tuples,
 )
-from .classify import DEFAULT_SCALING_DEPTH, classify, prv_witnesses
+from .classify import (
+    DEFAULT_SCALING_DEPTH,
+    DEFAULT_WEIGHT_BOUND,
+    classify,
+    prv_witnesses,
+)
 from .cupcalc import schubert_calculus
 from .errors import OracleOverflow
 from .rootsys import add_weights, neg_weight
@@ -28,13 +32,38 @@ from .tensoracle import decompose, invariant_dim, weyl_dim
 from .weyl import WeylGroup, format_word, multiply
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: bool
-    checked: int
-    detail: str = ""
-    counterexample: dict | None = None
+    """The verdict of one suite.  ``passed`` is False iff a counterexample
+    was found; ``inconclusive`` counts the checked cases that the oracle
+    budget left undecided, which are neither a pass nor a counterexample."""
+
+    __slots__ = ("name", "passed", "checked", "detail", "counterexample",
+                 "inconclusive")
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool,
+        checked: int,
+        detail: str = "",
+        counterexample: dict | None = None,
+        inconclusive: int = 0,
+    ):
+        self.name = name
+        self.passed = passed
+        self.checked = checked
+        self.detail = detail
+        self.counterexample = counterexample
+        self.inconclusive = inconclusive
+
+    @property
+    def status(self) -> str:
+        """The verdict word: FAIL on a counterexample, else inconclusive
+        when no case was decided, else pass.  So a suite that checked
+        nothing does not pass, and one conclusive case is enough."""
+        if not self.passed:
+            return "FAIL"
+        return "inconclusive" if self.inconclusive == self.checked else "pass"
 
 
 def _words(tup) -> list[str]:
@@ -182,7 +211,9 @@ def _dominant_triples(rank: int, bound: int):
 
 
 def suite_equivalence(
-    group: WeylGroup, weight_bound: int = 2, K: int = DEFAULT_SCALING_DEPTH
+    group: WeylGroup,
+    weight_bound: int = DEFAULT_WEIGHT_BOUND,
+    K: int = DEFAULT_SCALING_DEPTH,
 ) -> SuiteResult:
     """Cohomological == (PRV and all probed invariant dimensions are 1).
 
@@ -218,10 +249,13 @@ def suite_equivalence(
               f" at K={K}")
     if inconclusive:
         detail += f"; {inconclusive} inconclusive (oracle budget)"
-    return SuiteResult("equivalence", True, checked, detail)
+    return SuiteResult("equivalence", True, checked, detail,
+                       inconclusive=inconclusive)
 
 
-def suite_prv_bound(group: WeylGroup, weight_bound: int = 2) -> SuiteResult:
+def suite_prv_bound(
+    group: WeylGroup, weight_bound: int = DEFAULT_WEIGHT_BOUND
+) -> SuiteResult:
     """Any tuple with a PRV witness has at least one invariant vector."""
     rank = group.rs.rank
     rs = group.rs
@@ -292,7 +326,8 @@ def suite_oracle(group: WeylGroup, samples: int = 100, seed: int = 0) -> SuiteRe
     detail = f"{checked - inconclusive} random pairs pass all oracle identities"
     if inconclusive:
         detail += f"; {inconclusive} inconclusive (oracle budget)"
-    return SuiteResult("oracle", True, checked, detail)
+    return SuiteResult("oracle", True, checked, detail,
+                       inconclusive=inconclusive)
 
 
 SUITES = {
@@ -312,7 +347,7 @@ _RANK2_ONLY = {"equivalence", "prv-bound"}
 def run_suites(
     group: WeylGroup,
     names: list[str],
-    weight_bound: int = 2,
+    weight_bound: int = DEFAULT_WEIGHT_BOUND,
     K: int = DEFAULT_SCALING_DEPTH,
 ) -> list[SuiteResult]:
     """Run the named suites; ``weight_bound`` and ``K`` go to the sweeps

@@ -66,12 +66,6 @@ class WeylElement:
         rho = self.group.rs.rho
         return tuple(x - 1 for x in self.act(add_weights(lam, rho)))
 
-    def inverse(self) -> "WeylElement":
-        return self.group.inverse(self)
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
 
 class WeylGroup:
     """Full enumeration of W for one root system.

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -257,6 +258,56 @@ def test_face_sample_rank_deficient():
     fs = face_sample(g2, witness, 2)
     assert len(fs.triples) == 11
     assert fs.lattice_rank == 3
+
+
+def _rank_reference(rows):
+    """Rank by Gauss-Jordan elimination over the rationals."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c] / m[rank][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("label,bound,ranks", [
+    ("A2", 2, {4}), ("B2", 1, {3, 4}), ("G2", 1, {2, 3, 4}),
+    ("G2", 2, {3, 4}),
+])
+def test_face_lattice_rank_matches_rational_elimination(label, bound, ranks):
+    """Every partition witness of the group: full-rank faces (rank 2r) and
+    rank-deficient ones alike."""
+    g = weyl_group(GroupType.parse(label))
+    seen = set()
+    for witness in enumerate_partition_tuples(g, 3):
+        fs = face_sample(g, witness, bound)
+        rows = [[c for w in t for c in w] for t in fs.triples]
+        assert fs.lattice_rank == _rank_reference(rows)
+        seen.add(fs.lattice_rank)
+    assert seen == ranks
+
+
+def test_lattice_rank_of_integer_matrices():
+    """Rows of rank k in 6 columns, products of random integer factors, with
+    no early stop before all 6 columns."""
+    from bkcalc.classify import _lattice_rank
+
+    rng = random.Random(7)
+    for k in range(7):
+        for _ in range(20):
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(9)]
+            right = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(k)]
+            rows = [[sum(a * right[j][c] for j, a in enumerate(r))
+                     for c in range(6)] for r in left]
+            triples = [((r[0], r[1]), (r[2], r[3]), (r[4], r[5])) for r in rows]
+            assert _lattice_rank(triples, 6) == _rank_reference(rows)
 
 
 def test_face_sample_invalid_witness(a2):

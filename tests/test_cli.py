@@ -305,6 +305,54 @@ def test_verify_oracle_overflow_exit_4(runner, monkeypatch):
     assert "dim V_(0, 1) = 3 exceeds budget cap 2" in r.output
 
 
+def test_verify_all_overflow_oracle_is_inconclusive_exit_4(runner, monkeypatch):
+    tight = functools.partial(verify.decompose, budget=OracleBudget(dim_cap=0))
+    monkeypatch.setattr(verify, "decompose", tight)
+    r = run(runner, "verify", "--group", "A2", "--suite", "oracle")
+    assert r.exit_code == 4
+    assert r.output == (
+        "[inconclusive] oracle: checked=100 0 random pairs pass all oracle "
+        "identities; 100 inconclusive (oracle budget)\n")
+
+
+def test_verify_all_overflow_equivalence_is_inconclusive_exit_4(
+        runner, monkeypatch):
+    tight = functools.partial(verify.classify, budget=OracleBudget(dim_cap=0))
+    monkeypatch.setattr(verify, "classify", tight)
+    r = run(runner, "verify", "--group", "A2", "--suite", "equivalence",
+            "--weight-bound", "1", "-K", "2")
+    assert r.exit_code == 4
+    assert r.output.startswith("[inconclusive] equivalence: checked=64 ")
+    assert r.output.endswith("; 64 inconclusive (oracle budget)\n")
+
+
+def test_verify_one_conclusive_case_passes(runner, monkeypatch):
+    # the first triple, (0, 0)^3, gets the default budget; the other 63
+    # get none, so the oracle decides exactly one case
+    budgets = iter([OracleBudget()] + [OracleBudget(dim_cap=0)] * 63)
+    real = verify.classify
+    monkeypatch.setattr(verify, "classify", lambda group, weights, K: real(
+        group, weights, K=K, budget=next(budgets)))
+    r = run(runner, "verify", "--group", "A2", "--suite", "equivalence",
+            "--weight-bound", "1", "-K", "2")
+    assert r.exit_code == 0
+    assert r.output == (
+        "[pass] equivalence: checked=64 desk-scale equivalence holds on the "
+        "bound-1 box at K=2; 63 inconclusive (oracle budget)\n")
+
+
+def test_verify_failure_outranks_inconclusive(runner, monkeypatch):
+    tight = functools.partial(verify.decompose, budget=OracleBudget(dim_cap=0))
+    monkeypatch.setattr(verify, "decompose", tight)
+    monkeypatch.setattr(verify, "bk_product",
+                        lambda u, v: verify.CohomClass.basis(u))
+    r = run(runner, "verify", "--group", "A1", "--suite", "ring-axioms",
+            "--suite", "oracle")
+    assert r.exit_code == 1
+    assert "[FAIL] ring-axioms" in r.output
+    assert "[inconclusive] oracle" in r.output
+
+
 def test_verify_threads_weight_bound_and_depth(runner):
     r = run(runner, "verify", "--group", "A2", "--suite", "equivalence",
             "--suite", "prv-bound", "--weight-bound", "1", "-K", "2")

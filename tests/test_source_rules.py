@@ -6,6 +6,9 @@ no float literal, no true division and no ``float`` or ``Fraction``; every
 runtime invariant is a real check, so it holds no ``assert``, which
 ``python -O`` would strip.
 
+Every fresh process imports the package, so no module of it imports
+``dataclasses``, which loads ``inspect`` and generates code at import.
+
 The two oracles check the inversion-set product from outside, so neither
 may read what it checks: the tensor oracle imports nothing of the package
 but its errors and the root system, so it cannot consult a Weyl element or
@@ -54,6 +57,40 @@ def test_guard_catches_each_rule():
                "from fractions import Fraction\nfractions.Fraction(1)\n")
     assert sorted(line for line, _ in _violations(ast.parse(planted))) == [
         1, 2, 3, 4, 5, 6, 7,
+    ]
+
+
+SLOW_IMPORTS = {"dataclasses"}
+
+
+def _import_violations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            if module.partition(".")[0] in SLOW_IMPORTS:
+                yield node.lineno, f"import of {module}"
+
+
+def test_no_module_imports_dataclasses():
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, what in _import_violations(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_import_guard_catches_dataclasses():
+    planted = ("import dataclasses\nfrom dataclasses import dataclass\n"
+               "import os, dataclasses as dc\nfrom . import dataclasses\n"
+               "import functools\n\ndef f():\n    import dataclasses\n")
+    assert [line for line, _ in _import_violations(ast.parse(planted))] == [
+        1, 2, 3, 8,
     ]
 
 

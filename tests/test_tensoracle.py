@@ -174,8 +174,8 @@ def test_oracle_overflow_is_typed(a2):
 
 
 _PLANTED = textwrap.dedent("""
-    import dataclasses, sys
-    from bkcalc import GroupType, cupcalc, rootsys, tensoracle, weyl_group
+    import sys
+    from bkcalc import GroupType, cupcalc, multiply, rootsys, tensoracle, weyl_group
 
     assert sys.flags.optimize and not __debug__
 
@@ -195,7 +195,10 @@ _PLANTED = textwrap.dedent("""
                             lambda: rootsys.build_root_system.__wrapped__(b2))
     rootsys._symmetrizers = real
     # pair every root as if all of them had the same length
-    flat = dataclasses.replace(rs, root_pairings=rs.positive_roots)
+    flat = rootsys.RootSystem(
+        rs.group_type, rs.cartan, rs.positive_roots, rs.positive_roots_fw,
+        root_pairings=rs.positive_roots, fw_index=rs.fw_index, rho=rs.rho,
+        n_pos=rs.n_pos, symmetrizers=rs.symmetrizers)
     expect_arithmetic_error("freudenthal quotient",
                             lambda: tensoracle.weight_multiplicities(flat, (1, 0)))
     tensoracle.weyl_dim = lambda rs, lam: 6
@@ -208,7 +211,7 @@ _PLANTED = textwrap.dedent("""
     calc.representative = lambda w: {(0, 0): 3} if w is a2.w0 else real(w)
     s1, s2 = a2.simple
     expect_arithmetic_error("cup pairing",
-                            lambda: calc.cup_coefficient(s1, s1 * s2, a2.w0))
+                            lambda: calc.cup_coefficient(s1, multiply(s1, s2), a2.w0))
 """)
 
 
