@@ -10,6 +10,10 @@ Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 domain error,
 4 oracle budget exceeded (for ``verify``: a suite none of whose cases the
 budget let it decide), 5 size cap exceeded.
 
+One table, ``_COMMANDS``, names each command's function and its options;
+:func:`main` parses argv against it with the standard library alone.  A
+usage error, like every other error, is one ``error: ...`` line on stderr.
+
 Every command writes through one writer, :func:`_emit`.  It takes the output
 as a stream of string chunks and writes them in batches, after the command's
 caps and computation have passed.  The bytes are those of building the whole
@@ -28,8 +32,6 @@ import json
 import os
 import re
 import sys
-
-import click
 
 from . import __version__
 from .bkring import bk_partner, enumerate_partition_tuples
@@ -132,7 +134,7 @@ class RunConfig:
 
 
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -173,10 +175,8 @@ def _emit(chunks, out: str | None):
         with open(out, "w") as fh:
             _write(chunks, fh)
     else:
-        # the stream that click.echo writes to and CliRunner captures
-        stream = click.get_text_stream("stdout", errors=None)
-        _write(chunks, stream)
-        stream.flush()
+        _write(chunks, sys.stdout)
+        sys.stdout.flush()
 
 
 def _write(chunks, fh):
@@ -244,39 +244,6 @@ def _json(payload):
         yield parts[k + 1]
 
 
-class _Main(click.Group):
-    def invoke(self, ctx):
-        """Run a command; a library error becomes its exit code."""
-        try:
-            return super().invoke(ctx)
-        except tuple(_EXIT_CODES) as exc:
-            code = next(_EXIT_CODES[t] for t in type(exc).__mro__
-                        if t in _EXIT_CODES)
-            _fail(code, str(exc))
-
-
-@click.group(cls=_Main)
-@click.version_option(__version__)
-def main():
-    """Exact tensor-cone classification and the degenerated Schubert product."""
-
-
-_group_opt = click.option("--group", "group_label", default=None,
-                          help="Group type label, e.g. A2, B3, G2.")
-_format_opt = click.option("--format", "fmt", default=None,
-                           type=click.Choice(OUTPUT_FORMATS),
-                           help="Output format.")
-_out_opt = click.option("--out", default=None, help="Write output to a file.")
-
-
-@main.command("classify")
-@_group_opt
-@click.option("--weights", required=True, help='e.g. "1,0;0,1;1,1"')
-@click.option("-K", "--scaling-depth", "depth", type=int, default=None)
-@click.option("--budget", type=int, default=None,
-              help="Dimension cap on the tabulated (smaller) factor.")
-@_format_opt
-@_out_opt
 def cmd_classify(group_label, weights, depth, budget, fmt, out):
     """Classify a dominant weight tuple (PRV / cohomological / extremal)."""
     cfg = _load_config()
@@ -352,10 +319,6 @@ def _classify_text(payload, weights, result, witnesses):
         yield "oracle_overflow: true\n"
 
 
-@main.command("bk-table")
-@_group_opt
-@_format_opt
-@_out_opt
 def cmd_bk_table(group_label, fmt, out):
     """Full multiplication table of the degenerated product."""
     import hashlib  # only this command hashes; OpenSSL is slow to load
@@ -425,11 +388,6 @@ def _bk_blocks(group):
                 yield u, v, ws, bk_partner(u, v)
 
 
-@main.command("enumerate")
-@_group_opt
-@click.option("--s", "s", type=int, default=3, help="Number of tuple slots.")
-@_format_opt
-@_out_opt
 def cmd_enumerate(group_label, s, fmt, out):
     """Ordered tuples of inversion sets partitioning the positive roots."""
     cfg = _load_config()
@@ -458,13 +416,6 @@ def _enumerate_text(tuples, note):
     yield f"# count={len(tuples)}" + (f" note={note}" if note else "") + "\n"
 
 
-@main.command("decompose")
-@_group_opt
-@click.option("--weights", required=True, help='Two weights, e.g. "1,1;1,1"')
-@click.option("--budget", type=int, default=None,
-              help="Dimension cap on the tabulated (smaller) factor.")
-@_format_opt
-@_out_opt
 def cmd_decompose(group_label, weights, budget, fmt, out):
     """Decompose a tensor product of two irreducibles (exact oracle)."""
     cfg = _load_config()
@@ -495,12 +446,6 @@ def cmd_decompose(group_label, weights, budget, fmt, out):
     _emit(chunks, out)
 
 
-@main.command("face")
-@_group_opt
-@click.option("--witness", required=True, help='e.g. "e;e;1.2.1"')
-@click.option("--bound", type=int, default=1)
-@_format_opt
-@_out_opt
 def cmd_face(group_label, witness, bound, fmt, out):
     """Sample the minimal regular face attached to a partition witness."""
     cfg = _load_config()
@@ -530,13 +475,6 @@ def cmd_face(group_label, witness, bound, fmt, out):
     _emit(chunks, out)
 
 
-@main.command("verify")
-@_group_opt
-@click.option("--suite", "suites", multiple=True, default=("all",),
-              help="Suite name or 'all'; repeatable.")
-@click.option("--weight-bound", type=int, default=None)
-@click.option("-K", "--scaling-depth", type=int, default=None)
-@_out_opt
 def cmd_verify(group_label, suites, weight_bound, scaling_depth, out):
     """Run the exhaustive verification sweeps; exit 0 iff all pass."""
     cfg = _load_config()
@@ -559,6 +497,196 @@ def cmd_verify(group_label, suites, weight_bound, scaling_depth, out):
         sys.exit(EXIT_VERIFY_FAILED)
     if "inconclusive" in statuses:
         sys.exit(EXIT_ORACLE)
+
+
+class _Option:
+    """One option of a command: its names, the keyword argument it fills,
+    how its value is read (``str``, ``int`` or a tuple of choices), its
+    default, and whether it is required or repeats.  Every option takes a
+    value."""
+
+    __slots__ = ("names", "dest", "kind", "default", "required", "repeat",
+                 "help")
+
+    def __init__(self, *names, dest=None, kind=str, default=None,
+                 required=False, repeat=False, help=""):
+        self.names = names
+        self.dest = dest or names[-1].lstrip("-").replace("-", "_")
+        self.kind = kind
+        self.default = default
+        self.required = required
+        self.repeat = repeat
+        self.help = help
+
+    def convert(self, name: str, text: str):
+        if self.kind is int:
+            try:
+                return int(text)
+            except ValueError:
+                _fail(EXIT_PARSE, f"invalid value for {name!r}: {text!r} "
+                                  f"is not a valid integer")
+        if self.kind is not str and text not in self.kind:
+            _fail(EXIT_PARSE, f"invalid value for {name!r}: {text!r} is not "
+                              f"one of {', '.join(map(repr, self.kind))}")
+        return text
+
+    def label(self) -> str:
+        """The names and the value's form, as ``--help`` lists them."""
+        if self.kind in (str, int):
+            metavar = "TEXT" if self.kind is str else "INTEGER"
+        else:
+            metavar = f"[{'|'.join(self.kind)}]"
+        return f"{', '.join(self.names)} {metavar}"
+
+
+_GROUP = _Option("--group", dest="group_label",
+                 help="Group type label, e.g. A2, B3, G2.")
+_BUDGET = _Option("--budget", kind=int,
+                  help="Dimension cap on the tabulated (smaller) factor.")
+_FORMAT = _Option("--format", dest="fmt", kind=OUTPUT_FORMATS,
+                  help="Output format.")
+_OUT = _Option("--out", help="Write output to a file.")
+
+# every command: the function it runs and the options it takes
+_COMMANDS = {
+    "classify": (cmd_classify, (
+        _GROUP,
+        _Option("--weights", required=True, help='e.g. "1,0;0,1;1,1"'),
+        _Option("-K", "--scaling-depth", dest="depth", kind=int),
+        _BUDGET, _FORMAT, _OUT,
+    )),
+    "bk-table": (cmd_bk_table, (_GROUP, _FORMAT, _OUT)),
+    "enumerate": (cmd_enumerate, (
+        _GROUP,
+        _Option("--s", kind=int, default=3, help="Number of tuple slots."),
+        _FORMAT, _OUT,
+    )),
+    "decompose": (cmd_decompose, (
+        _GROUP,
+        _Option("--weights", required=True, help='Two weights, e.g. "1,1;1,1"'),
+        _BUDGET, _FORMAT, _OUT,
+    )),
+    "face": (cmd_face, (
+        _GROUP,
+        _Option("--witness", required=True, help='e.g. "e;e;1.2.1"'),
+        _Option("--bound", kind=int, default=1),
+        _FORMAT, _OUT,
+    )),
+    "verify": (cmd_verify, (
+        _GROUP,
+        _Option("--suite", dest="suites", default=("all",), repeat=True,
+                help="Suite name or 'all'; repeatable."),
+        _Option("--weight-bound", kind=int),
+        _Option("-K", "--scaling-depth", kind=int),
+        _OUT,
+    )),
+}
+
+
+def _summary(func) -> str:
+    return (func.__doc__ or "").partition("\n")[0]
+
+
+def _help(prog: str, command: str | None = None) -> str:
+    if command is None:
+        usage, heading = f"{prog} [--version] [--help] COMMAND [OPTIONS]", main
+        rows = [(name, _summary(_COMMANDS[name][0]))
+                for name in sorted(_COMMANDS)]
+    else:
+        func, options = _COMMANDS[command]
+        usage, heading = f"{prog} {command} [OPTIONS]", func
+        rows = [(opt.label(),
+                 opt.help + ("  [required]" if opt.required else ""))
+                for opt in options]
+        rows.append(("--help", "Show this message and exit."))
+    width = max(len(left) for left, _ in rows)
+    lines = [f"Usage: {usage}", "", _summary(heading), "",
+             "Commands:" if command is None else "Options:"]
+    lines += [f"  {left:<{width}}  {right}".rstrip() for left, right in rows]
+    return "\n".join(lines)
+
+
+def _prog_name() -> str:
+    """``python -m bkcalc.cli`` under ``-m``, else the script's file name."""
+    spec = getattr(sys.modules["__main__"], "__spec__", None)
+    if spec is not None:
+        return f"python -m {spec.name.removesuffix('.__main__')}"
+    return os.path.basename(sys.argv[0])
+
+
+def _parse(argv: list[str], prog: str):
+    """The function of the command that ``argv`` names, and its keyword
+    arguments.
+
+    An option's value is the next item, whatever it starts with (so
+    ``--weights -1,0;0,1;1,1`` reaches the domain check), or follows ``=``
+    (``--s=3``) or the letter of a short name (``-K3``).  Names are never
+    abbreviated.  An option given twice keeps its last value, unless it
+    repeats; a repeated option's default applies only when it is not given.
+    """
+    args = iter(argv)
+    command = next(args, None)
+    if command in ("--version", "--help"):
+        print(f"{prog}, version {__version__}" if command == "--version"
+              else _help(prog))
+        sys.exit(0)
+    if command is None:
+        _fail(EXIT_PARSE, f"missing command; try '{prog} --help'")
+    if command.startswith("-"):
+        _fail(EXIT_PARSE, f"no such option {command!r}")
+    if command not in _COMMANDS:
+        _fail(EXIT_PARSE, f"no such command {command!r}")
+    func, options = _COMMANDS[command]
+    by_name = {name: opt for opt in options for name in opt.names}
+    given = {}
+    for arg in args:
+        if arg == "--help":
+            print(_help(prog, command))
+            sys.exit(0)
+        if not arg.startswith("-"):
+            _fail(EXIT_PARSE, f"unexpected extra argument {arg!r}")
+        if arg.startswith("--"):
+            name, inline, value = arg.partition("=")
+        else:
+            name, value = arg[:2], arg[2:]
+            inline = value
+        opt = by_name.get(name)
+        if opt is None:
+            _fail(EXIT_PARSE, f"no such option {name!r}")
+        if not inline:
+            value = next(args, None)
+            if value is None:
+                _fail(EXIT_PARSE, f"option {name!r} requires an argument")
+        value = opt.convert(name, value)
+        if opt.repeat:
+            value = given.get(opt.dest, ()) + (value,)
+        given[opt.dest] = value
+    for opt in options:
+        if opt.required and opt.dest not in given:
+            _fail(EXIT_PARSE, f"missing option {opt.names[-1]!r}")
+    return func, {opt.dest: given.get(opt.dest, opt.default) for opt in options}
+
+
+def main(args=None, prog_name=None):
+    """Exact tensor-cone classification and the degenerated Schubert product.
+
+    Runs the command that ``args`` (``sys.argv[1:]`` by default) names and
+    exits with its code; a library error becomes its exit code and one
+    ``error:`` line on stderr.  ``prog_name`` names the program in
+    ``--version`` and ``--help``.
+    """
+    argv = sys.argv[1:] if args is None else list(args)
+    func, kwargs = _parse(argv, prog_name or _prog_name())
+    try:
+        func(**kwargs)
+    except tuple(_EXIT_CODES) as exc:
+        code = next(_EXIT_CODES[t] for t in type(exc).__mro__
+                    if t in _EXIT_CODES)
+        _fail(code, str(exc))
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(1)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

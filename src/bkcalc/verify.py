@@ -26,10 +26,14 @@ from .classify import (
     prv_witnesses,
 )
 from .cupcalc import schubert_calculus
-from .errors import OracleOverflow
+from .errors import GroupTooLarge, OracleOverflow
 from .rootsys import add_weights, neg_weight
 from .tensoracle import decompose, invariant_dim, weyl_dim
 from .weyl import WeylGroup, format_word, multiply
+
+# tuples of W^s the brute-force filter of the partitions suite may scan: D4
+# at s = 3 (192^3, about 7.1 M) runs, B4 and C4 (384^3) are refused
+PARTITION_SWEEP_CAP = 10**7
 
 
 class SuiteResult:
@@ -178,7 +182,14 @@ def _product_class(cls, w):
 
 
 def suite_partitions(group: WeylGroup, s: int = 3) -> SuiteResult:
-    """Pruned partition enumeration equals the brute-force filter over W^s."""
+    """Pruned partition enumeration equals the brute-force filter over W^s.
+
+    A W^s of more than ``PARTITION_SWEEP_CAP`` tuples is refused before
+    either enumeration starts."""
+    size = len(group.elements) ** s
+    if size > PARTITION_SWEEP_CAP:
+        raise GroupTooLarge(f"partitions sweep of {size} tuples exceeds cap "
+                            f"{PARTITION_SWEEP_CAP}")
     fast = set(enumerate_partition_tuples(group, s))
     full = group.full_mask
     brute = set()

@@ -11,7 +11,6 @@ import io
 import json
 
 import pytest
-from click.testing import CliRunner
 
 from bkcalc import (
     GroupType,
@@ -22,7 +21,7 @@ from bkcalc import (
     format_word,
     weyl_group,
 )
-from bkcalc.cli import main
+from conftest import run_cli
 
 # the ROADMAP regression anchors: sha256 of each bk-table's CSV rows
 BK_TABLE_DIGESTS = {
@@ -35,10 +34,10 @@ BK_TABLE_DIGESTS = {
 
 
 def _cli(*args):
-    """Exit code and output bytes as text; ``Result.output`` would turn the
-    CSV row ends \\r\\n into \\n."""
-    r = CliRunner().invoke(main, list(args), catch_exceptions=False)
-    return r.exit_code, r.output_bytes.decode()
+    """Exit code and stdout of a run that writes nothing to stderr."""
+    r = run_cli(*args)
+    assert r.stderr == ""
+    return r.exit_code, r.output
 
 
 def _group(label):
@@ -233,6 +232,6 @@ def test_out_file_has_the_stdout_bytes(args, tmp_path):
 def test_refused_run_creates_no_out_file(tmp_path, monkeypatch):
     monkeypatch.setattr("bkcalc.cli.BK_TABLE_ROW_CAP", 34)
     target = tmp_path / "out"
-    assert _cli("bk-table", "--group", "A2", "--out", str(target)) == (
-        5, "error: bk-table of 35 rows exceeds cap 34\n")
+    assert run_cli("bk-table", "--group", "A2", "--out", str(target)) == (
+        5, "", "error: bk-table of 35 rows exceeds cap 34\n")
     assert not target.exists()

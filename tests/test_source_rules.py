@@ -7,7 +7,9 @@ runtime invariant is a real check, so it holds no ``assert``, which
 ``python -O`` would strip.
 
 Every fresh process imports the package, so no module of it imports
-``dataclasses``, which loads ``inspect`` and generates code at import.
+``dataclasses``, which loads ``inspect`` and generates code at import, or
+``click``, which loads ``inspect`` as well: the CLI parses its command line
+with the standard library.
 
 The two oracles check the inversion-set product from outside, so neither
 may read what it checks: the tensor oracle imports nothing of the package
@@ -60,10 +62,7 @@ def test_guard_catches_each_rule():
     ]
 
 
-SLOW_IMPORTS = {"dataclasses"}
-
-
-def _import_violations(tree):
+def _import_violations(tree, banned):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules = [a.name for a in node.names]
@@ -72,26 +71,43 @@ def _import_violations(tree):
         else:
             continue
         for module in modules:
-            if module.partition(".")[0] in SLOW_IMPORTS:
+            if module.partition(".")[0] in banned:
                 yield node.lineno, f"import of {module}"
 
 
-def test_no_module_imports_dataclasses():
-    found = [
+def _package_import_violations(banned):
+    return [
         f"{path.name}:{line}: {what}"
         for path in sorted(SRC.glob("*.py"))
-        for line, what in _import_violations(ast.parse(path.read_text()))
+        for line, what in _import_violations(ast.parse(path.read_text()),
+                                             banned)
     ]
-    assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    assert _package_import_violations({"dataclasses"}) == []
 
 
 def test_import_guard_catches_dataclasses():
     planted = ("import dataclasses\nfrom dataclasses import dataclass\n"
                "import os, dataclasses as dc\nfrom . import dataclasses\n"
                "import functools\n\ndef f():\n    import dataclasses\n")
-    assert [line for line, _ in _import_violations(ast.parse(planted))] == [
+    assert [line for line, _ in _import_violations(ast.parse(planted),
+                                                   {"dataclasses"})] == [
         1, 2, 3, 8,
     ]
+
+
+def test_no_module_imports_click():
+    assert _package_import_violations({"click"}) == []
+
+
+def test_import_guard_catches_click():
+    planted = ("import click\nfrom click.testing import CliRunner\n"
+               "import clickhouse\nfrom . import click\n"
+               "def main():\n    import os, click as c\n")
+    assert [line for line, _ in _import_violations(ast.parse(planted),
+                                                   {"click"})] == [1, 2, 6]
 
 
 def _package_imports(tree):

@@ -3,9 +3,11 @@
 Each check starts a new interpreter and counts the modules an import adds
 to ``sys.modules``; nothing is timed.  ``dataclasses`` brings ``inspect``
 and, with it, ``ast``, ``dis`` and ``tokenize``; ``hashlib`` loads OpenSSL,
-which only ``bk-table`` needs.
+which only ``bk-table`` needs; ``click`` loads ``inspect`` too, and the CLI
+parses its command line with the standard library instead.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -20,6 +22,7 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
+@functools.lru_cache(maxsize=None)
 def _modules_loaded_by(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -28,7 +31,7 @@ def _modules_loaded_by(module):
     out = subprocess.run([sys.executable, "-c", _PROBE.format(module=module)],
                          env=env, capture_output=True, text=True,
                          check=True).stdout
-    return set(json.loads(out))
+    return frozenset(json.loads(out))
 
 
 def test_import_bkcalc_loads_no_dataclasses_inspect_or_hashlib():
@@ -41,3 +44,9 @@ def test_import_bkcalc_cli_loads_no_hashlib():
     loaded = _modules_loaded_by("bkcalc.cli")
     assert "bkcalc.verify" in loaded
     assert loaded & {"hashlib", "_hashlib"} == set()
+
+
+def test_import_bkcalc_cli_loads_no_click_or_inspect():
+    loaded = _modules_loaded_by("bkcalc.cli")
+    assert "bkcalc.cli" in loaded
+    assert loaded & {"click", "inspect"} == set()
