@@ -99,25 +99,55 @@ class TripleClassification:
         self.extended = len(weights) > 3
 
 
-def _witness_sort_key(tup):
-    return (sum(w.length for w in tup), tuple(w.word for w in tup))
+def _sorted_witnesses(group: WeylGroup, tuples):
+    """The tuples in order of total length, then slot by slot in lex order
+    of reduced words, each keyed by one integer
+
+        sum_i l(u_i) N^s + r(u_i) N^(s-1-i),   N = |W|,
+
+    where r(u) < N is u's place in lex order of words."""
+    tuples = list(tuples)
+    if tuples:
+        s, n = len(tuples[0]), group.order()
+        slots = [{w: w.length * n**s + r * n**(s - 1 - i)
+                  for w, r in group.word_ranks().items()} for i in range(s)]
+        tuples.sort(key=lambda t: sum(map(dict.__getitem__, slots, t)))
+    return tuples
 
 
-def _orbit_cosets(
-    group: WeylGroup, lam: Weight
-) -> dict[Weight, list[WeylElement]]:
-    """Each point of the orbit W.lam mapped to the elements carrying lam
-    there (a coset of the stabilizer), in ``group.elements`` order; w lam is
-    read from the table u -> u^-1 lam at u = w^-1."""
-    images = group.inverse_images(lam)
-    cosets: dict[Weight, list[WeylElement]] = {}
+def _packed_images(group: WeylGroup, weights: tuple[Weight, ...]):
+    """One table per distinct weight: u -> u^-1 lam, each image coded as
+    one integer sum_i c_i B^i.
+
+    With M the largest orbit bound of the tuple's weights and B = 2 s M + 1,
+    a sum of s images has coordinates in [-sM, sM], so two such sums have
+    equal codes iff they are equal, and a sum of s codes is 0 iff the
+    weights sum to zero."""
+    distinct = set(weights)
+    base = 2 * len(weights) * max(map(group.rs.orbit_bound, distinct),
+                                  default=0) + 1
+    powers = [base**i for i in range(group.rs.rank)]
+    packed = {}
+    for lam in distinct:
+        table = group.inverse_images(lam)
+        codes = {x: sum(map(int.__mul__, x, powers))
+                 for x in set(table.values())}
+        packed[lam] = {u: codes[x] for u, x in table.items()}
+    return packed
+
+
+def _orbit_cosets(group: WeylGroup, codes) -> dict[int, list[WeylElement]]:
+    """Each point of the orbit W.lam, by its code, mapped to the elements
+    carrying lam there (a coset of the stabilizer), in ``group.elements``
+    order; w lam is read from the table u -> u^-1 lam at u = w^-1."""
+    cosets: dict[int, list[WeylElement]] = {}
     for w in group.elements:
-        cosets.setdefault(images[group.inverse(w)], []).append(w)
+        cosets.setdefault(codes[group.inverse(w)], []).append(w)
     return cosets
 
 
 def prv_witnesses(
-    group: WeylGroup, weights: tuple[Weight, ...]
+    group: WeylGroup, weights: tuple[Weight, ...], packed=None
 ) -> list[tuple[WeylElement, ...]]:
     """All reduced witness tuples with the translated weights summing to zero.
 
@@ -126,44 +156,51 @@ def prv_witnesses(
     so each geometric witness appears once.  The search walks the orbit
     points of the first s-1 weights, looks the negated sum up in the last
     orbit, and expands each solution through the stabilizer cosets: it costs
-    the product of those orbit sizes plus the size of the output.
+    the product of those orbit sizes plus the size of the output.  Orbit
+    points are packed integers, so a sum is one add; ``packed``, when
+    given, is ``_packed_images(group, weights)``, which :func:`classify`
+    builds once for both searches.
     """
     if len(weights) < 2:
         raise ValueError("need at least two weights")
     for w in weights:
         group.rs.check_dominant(w)
-    cosets = {lam: _orbit_cosets(group, lam) for lam in set(weights)}
+    if packed is None:
+        packed = _packed_images(group, weights)
+    cosets = {lam: _orbit_cosets(group, codes) for lam, codes in packed.items()}
     front = [cosets[lam] for lam in weights[:-1]]
     last = cosets[weights[-1]]
 
+    *outer, inner = front
     out = []
-    for points in itertools.product(*front):
-        target = tuple(-sum(c) for c in zip(*points))
-        if target in last:
-            choices = [orbit[p] for orbit, p in zip(front, points)]
-            choices.append(last[target][:1])
+    for head in itertools.product(*outer):
+        rest = -sum(head)
+        for p in [p for p in inner if rest - p in last]:
+            choices = [orbit[q] for orbit, q in zip(outer, head)]
+            choices += (inner[p], last[rest - p][:1])
             out.extend(itertools.product(*choices))
-    out.sort(key=_witness_sort_key)
-    return out
+    return _sorted_witnesses(group, out)
 
 
 def cohomological_witnesses(
-    group: WeylGroup, weights: tuple[Weight, ...]
+    group: WeylGroup, weights: tuple[Weight, ...], packed=None
 ) -> list[tuple[WeylElement, ...]]:
     """Witness tuples whose inversion sets partition Phi+ and whose
-    inverted elements translate the weights to a zero sum."""
+    inverted elements translate the weights to a zero sum, tested on
+    packed integers; ``packed`` as in :func:`prv_witnesses`."""
     for w in weights:
         group.rs.check_dominant(w)
     partitions = enumerate_partition_tuples(group, len(weights))
-    images = {lam: group.inverse_images(lam) for lam in set(weights)}
-    columns = [images[lam] for lam in weights]
-    out = []
-    for tup in partitions:
-        translated = (col[u] for col, u in zip(columns, tup))
-        if not any(map(sum, zip(*translated))):
-            out.append(tup)
-    out.sort(key=_witness_sort_key)
-    return out
+    if packed is None:
+        packed = _packed_images(group, weights)
+    columns = [packed[lam] for lam in weights]
+    if len(columns) == 3:  # the three-factor case, unrolled
+        a, b, c = columns
+        hits = [(u, v, w) for u, v, w in partitions if a[u] + b[v] + c[w] == 0]
+    else:
+        code = dict.__getitem__
+        hits = [t for t in partitions if not sum(map(code, columns, t))]
+    return _sorted_witnesses(group, hits)
 
 
 def regularly_extremal_witnesses(
@@ -179,7 +216,7 @@ def _regular_from_cohomological(group: WeylGroup, coh):
     """The right w0-translates of the cohomological witnesses, as
     sum (u_i w0)^-1 lambda_i = w0 (sum u_i^-1 lambda_i).  Translation
     reverses length order, so the result is sorted again."""
-    return sorted(right_w0_translates(group, coh), key=_witness_sort_key)
+    return _sorted_witnesses(group, right_w0_translates(group, coh))
 
 
 def classify(
@@ -195,9 +232,10 @@ def classify(
         raise ValueError("scaling depth must be at least 1")
     # the partition enumeration enforces the tuple-size cap, so it runs
     # before the PRV search, whose orbit walk grows with s
-    coh = cohomological_witnesses(group, weights)
+    packed = _packed_images(group, weights)
+    coh = cohomological_witnesses(group, weights, packed)
     reg = _regular_from_cohomological(group, coh)
-    prv = prv_witnesses(group, weights)
+    prv = prv_witnesses(group, weights, packed)
 
     mults: list[tuple[int, int]] = []
     overflow = False
@@ -275,12 +313,17 @@ def face_sample(
     v_images = [v_inv.act(mu) for mu in box]
     u_far = [neg_weight(w.act(x)) for x in u_images]
     v_far = [neg_weight(w.act(x)) for x in v_images]
+    # w^-1 as a matrix, built once: row k holds the k-th coordinates of the
+    # images of the fundamental weights
+    units = (tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
+    w_inv_rows = list(zip(*map(w_inv.act, units)))
     for lam, u_lam, u_nu in zip(box, u_images, u_far):
         for mu, v_mu, v_nu in zip(box, v_images, v_far):
             nu = add_weights(u_nu, v_nu)
             if is_dominant(nu):
                 # the zero-sum identity, checked through w^-1 instead of w
-                if any(add_weights(add_weights(u_lam, v_mu), w_inv.act(nu))):
+                if any(x + sum(map(int.__mul__, row, nu)) for x, row
+                       in zip(add_weights(u_lam, v_mu), w_inv_rows)):
                     raise ArithmeticError(
                         f"face triple {(lam, mu, nu)} does not sum to zero"
                     )

@@ -210,6 +210,20 @@ class RootSystem:
         if not is_dominant(lam):
             raise NonDominantInput(f"weight {lam} is not dominant")
 
+    def orbit_bound(self, lam: Weight) -> int:
+        """The largest |coordinate| on the orbit of a dominant weight.
+
+        The i-th coordinate of w lam is <lam, beta^vee> with beta = w^-1
+        alpha_i, and every root is such a beta, so the bound is the largest
+        <lam, beta^vee> = 2 (lam, beta) / (beta, beta) over beta > 0; the
+        norm (beta, beta) is the pairing of beta with itself.
+        """
+        best = 0
+        for p, fw in zip(self.root_pairings, self.positive_roots_fw):
+            norm = sum(x * y for x, y in zip(p, fw))
+            best = max(best, 2 * sum(x * y for x, y in zip(p, lam)) // norm)
+        return best
+
     # -- lookups ----------------------------------------------------------
 
     def simple_reflect(self, i: int, lam: Weight) -> Weight:

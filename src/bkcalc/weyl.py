@@ -117,6 +117,7 @@ class WeylGroup:
             self._inverse[w] = x
         self._partition_cache: dict = {}
         self._words: dict[WeylElement, str] = {}  # filled by format_word
+        self._word_ranks: dict[WeylElement, int] | None = None
 
     def _enumerate(self):
         """The elements in (length, lex word) order, keyed by inversion set
@@ -181,6 +182,14 @@ class WeylGroup:
 
     def order(self) -> int:
         return len(self.elements)
+
+    def word_ranks(self) -> dict[WeylElement, int]:
+        """Each element's place in lex order of reduced words, built on
+        first use and kept on the group, like the word texts."""
+        if self._word_ranks is None:
+            by_word = sorted(self.elements, key=lambda w: w.word)
+            self._word_ranks = {w: r for r, w in enumerate(by_word)}
+        return self._word_ranks
 
 
 _group_cache: dict[GroupType, WeylGroup] = {}

@@ -22,6 +22,7 @@ from bkcalc import (
     regularly_extremal_witnesses,
     weyl_group,
 )
+from bkcalc.classify import _packed_images
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +191,61 @@ def test_searches_match_brute_force_on_a4_witness_rounds():
     _assert_searches_match(g, cases)
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                   "C3", "C4", "D4", "G2", "F4", "E6"])
+def test_orbit_bound_is_the_largest_orbit_coordinate(label):
+    """The orbit bound read from the root tables equals the largest
+    |coordinate| in the table u -> u^-1 lam, on a dominant box ({0,1,2}^r
+    in rank 2, {0,1}^r above) and on E6 at two fundamental weights."""
+    g = weyl_group(GroupType.parse(label))
+    rank = g.rs.rank
+    if label == "E6":
+        box = [tuple(int(i == j) for j in range(rank)) for i in (0, 1)]
+    else:
+        box = itertools.product(range(3 if rank <= 2 else 2), repeat=rank)
+    for lam in box:
+        images = g.inverse_images(lam).values()
+        largest = max(abs(c) for x in images for c in x)
+        assert g.rs.orbit_bound(lam) == largest, lam
+
+
+@pytest.mark.parametrize("label,s", [
+    ("A2", 2), ("A2", 3), ("B2", 2), ("B2", 3), ("G2", 2), ("G2", 3),
+    ("A3", 2), ("B3", 2), ("C3", 2),
+])
+def test_packed_sums_share_a_code_only_when_equal(label, s):
+    """Over every s-tuple of orbit points of {0,1}^r weights, two sums of
+    packed images have one code iff they are one weight, and a sum codes
+    to 0 iff it is zero.  At a base of s M, sums would merge in every case
+    here but B2's; at 2 s M, one below the base, C3's (2,-1,0) and (-2,0,0)
+    at s = 2 would."""
+    g = weyl_group(GroupType.parse(label))
+    box = list(itertools.product(range(2), repeat=g.rs.rank))
+    for weights in itertools.combinations_with_replacement(box, s):
+        packed = _packed_images(g, weights)
+        points = [{packed[lam][u]: x for u, x in g.inverse_images(lam).items()}
+                  for lam in weights]
+        sums = {}
+        for codes in itertools.product(*points):
+            total = tuple(map(sum, zip(*(p[c] for p, c in zip(points, codes)))))
+            assert sums.setdefault(sum(codes), total) == total, weights
+            assert (sum(codes) == 0) == (not any(total)), weights
+
+
+@pytest.mark.parametrize("label,s", [("A2", 3), ("B2", 3), ("G2", 3), ("A2", 4)])
+def test_classify_lists_equal_the_separate_searches(label, s):
+    """classify hands one packed table per weight to both searches; its
+    lists equal those of separate calls, order included."""
+    g = weyl_group(GroupType.parse(label))
+    box = list(itertools.product(range(2), repeat=g.rs.rank))
+    for weights in itertools.combinations_with_replacement(box, s):
+        c = classify(g, weights, K=1)
+        assert c.prv_witnesses == prv_witnesses(g, weights), weights
+        assert c.coh_witnesses == cohomological_witnesses(g, weights), weights
+        assert (c.reg_witnesses
+                == regularly_extremal_witnesses(g, weights)), weights
+
+
 def test_classify_cartan_component(a2):
     c = classify(a2, ((1, 0), (0, 1), (1, 1)), K=3)
     assert c.prv and c.cohomological and c.regularly_extremal
@@ -248,6 +304,18 @@ def test_face_sample_triples_lie_in_the_cone(a2):
     fs = face_sample(a2, (a2.identity, a2.identity, a2.w0), 2)
     for triple in fs.triples:
         assert invariant_dim(a2.rs, triple) >= 1
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_face_sample_on_every_partition_witness(label):
+    """Every face triple sums to zero under the witness's inverted elements,
+    acted here one reflection at a time; face_sample's own check, through
+    a matrix of w^-1, raises on none of them."""
+    g = weyl_group(GroupType.parse(label))
+    for witness in enumerate_partition_tuples(g, 3):
+        for triple in face_sample(g, witness, 1).triples:
+            images = [g.inverse(u).act(lam) for u, lam in zip(witness, triple)]
+            assert not any(map(sum, zip(*images))), (witness, triple)
 
 
 def test_face_sample_rank_deficient():

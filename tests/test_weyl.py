@@ -319,6 +319,18 @@ def test_word_format_round_trip(a2):
     assert parse_word(a2, "1.1") is a2.identity  # non-reduced input allowed
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "D4"])
+def test_word_ranks_order_w_by_word(label):
+    """The rank table numbers W from 0 in lex order of reduced words, and
+    is built once per group."""
+    g = weyl_group(GroupType.parse(label))
+    ranks = g.word_ranks()
+    assert sorted(ranks.values()) == list(range(g.order()))
+    by_rank = sorted(g.elements, key=ranks.__getitem__)
+    assert by_rank == sorted(g.elements, key=lambda w: w.word)
+    assert g.word_ranks() is ranks
+
+
 def test_reduced_words_are_lex_minimal(a2):
     # w0 admits both 1.2.1 and 2.1.2; the stored word is the smaller
     assert a2.w0.word == (0, 1, 0)
